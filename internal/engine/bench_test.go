@@ -8,9 +8,26 @@ import (
 	"selfheal/internal/store"
 )
 
-// benchEngine builds an engine with n chips spread over a realistic
-// condition mix: DC stress, AC stress, a hotter bin, circadian
-// schedules, and a sleeping cohort.
+// mixSpec is chip i of the five-way condition mix: DC stress, AC
+// stress, a hotter bin, circadian schedules, and a sleeping cohort.
+func mixSpec(i int, id string) Spec {
+	sp := Spec{ID: id, TempC: 80, Vdd: 1.2, Duty: 1}
+	switch i % 5 {
+	case 1:
+		sp.Duty = 0.5
+	case 2:
+		sp.TempC, sp.Vdd = 105, 1.32
+	case 3:
+		sp.Schedule = &Schedule{StressEpochs: 16, SleepEpochs: 8, SleepTempC: 40, SleepVdd: -0.3}
+	case 4:
+		sp.Phase = PhaseSleepName
+		sp.TempC, sp.Vdd = 45, -0.25
+	}
+	return sp
+}
+
+// benchEngine builds an engine with n chips spread over the five-way
+// condition mix.
 func benchEngine(b *testing.B, n int) *Engine {
 	b.Helper()
 	e, err := New(store.NewMem[any](), Config{EpochHours: 0.5, FlushEpochs: 1 << 30})
@@ -34,19 +51,7 @@ func benchEngine(b *testing.B, n int) *Engine {
 		specs = specs[:0]
 	}
 	for i := 0; i < n; i++ {
-		sp := Spec{ID: fmt.Sprintf("bench-%07d", i), TempC: 80, Vdd: 1.2, Duty: 1}
-		switch i % 5 {
-		case 1:
-			sp.Duty = 0.5
-		case 2:
-			sp.TempC, sp.Vdd = 105, 1.32
-		case 3:
-			sp.Schedule = &Schedule{StressEpochs: 16, SleepEpochs: 8, SleepTempC: 40, SleepVdd: -0.3}
-		case 4:
-			sp.Phase = PhaseSleepName
-			sp.TempC, sp.Vdd = 45, -0.25
-		}
-		specs = append(specs, sp)
+		specs = append(specs, mixSpec(i, fmt.Sprintf("bench-%07d", i)))
 		if len(specs) == batch {
 			flush()
 		}

@@ -23,6 +23,14 @@
 // schedule changes) are enqueued as events; a pump goroutine applies
 // them between epochs under the tick lock.
 //
+// # Per-epoch hooks
+//
+// Config.OnEpoch gets each tick's snapshot and prev, the one the
+// previous tick published. The engine is the only holder of last
+// epoch's fleet: Snapshot.PrevVth lines prev's threshold shifts up with
+// the current ids, so hooks deriving per-chip aging rates (the guard,
+// the serve layer's telemetry) keep no history of their own.
+//
 // # Durability and replay
 //
 // The engine persists operations, not state, through the same journal
@@ -92,14 +100,16 @@ type Config struct {
 	Tracer      *obs.Tracer // when set, every TraceEvery-th tick is traced
 	TraceEvery  int         // default 64
 	// OnEpoch, when set, is called after every successfully completed
-	// tick with the new epoch number and the snapshot it published. It
-	// runs on the ticking goroutine *after* the tick lock is released,
-	// so the hook may call the engine's mutation API (the guard's
-	// detect→respond loop does exactly that); a slow hook delays the
-	// next tick, not concurrent readers. It is never called during
-	// replay — replayed history already contains whatever the hook's
-	// responses journaled the first time around.
-	OnEpoch func(epoch uint64, snap *Snapshot)
+	// tick with the new epoch number, the snapshot it published, and
+	// prev, the one the previous successful tick published — nil on the
+	// first tick after New, so after a restart the hooks get one epoch
+	// without history. It runs on the ticking goroutine *after* the
+	// tick lock is released, so the hook may call the engine's mutation
+	// API (the guard's detect→respond loop does exactly that); a slow
+	// hook delays the next tick, not concurrent readers. It is never
+	// called during replay — replayed history already contains whatever
+	// the hook's responses journaled the first time around.
+	OnEpoch func(epoch uint64, snap, prev *Snapshot)
 }
 
 // Spec registers one chip with the engine.
@@ -175,7 +185,7 @@ type Engine struct {
 	workers    int
 	tracer     *obs.Tracer
 	traceEvery uint64
-	onEpoch    func(epoch uint64, snap *Snapshot)
+	onEpoch    func(epoch uint64, snap, prev *Snapshot)
 
 	// tickMu serializes epoch advancement, event application, journal
 	// flushes, and snapshot publication — events never land mid-epoch.
@@ -184,6 +194,7 @@ type Engine struct {
 	epoch         uint64
 	simHours      float64
 	pendingEpochs uint64
+	tickSnap      *Snapshot // published by the last successful tick
 
 	snap  atomic.Pointer[Snapshot]
 	chips atomic.Int64
@@ -207,7 +218,7 @@ type Engine struct {
 // New assembles an engine over the journal, replaying its engine
 // records (registrations, condition/schedule changes, coalesced epoch
 // advances) to land on the exact pre-shutdown state, then starts the
-// event pump and — when cfg.Interval > 0 — the background ticker.
+// event pump. The wall-clock ticker waits for Start.
 func New(j Journal, cfg Config) (*Engine, error) {
 	if cfg.EpochHours == 0 {
 		cfg.EpochHours = 0.5
@@ -254,11 +265,17 @@ func New(j Journal, cfg Config) (*Engine, error) {
 	e.publishSnapshotLocked()
 	e.wg.Add(1)
 	go e.pump()
+	return e, nil
+}
+
+// Start launches the background ticker when Config.Interval > 0 (a
+// no-op on a manual clock). Call it once, after everything the OnEpoch
+// hook reads is wired: no epoch advances on its own before Start.
+func (e *Engine) Start() {
 	if e.interval > 0 {
 		e.wg.Add(1)
 		go e.run()
 	}
-	return e, nil
 }
 
 // replay re-applies the journal's engine records in sequence order.
@@ -355,13 +372,13 @@ func (e *Engine) run() {
 // hook (if configured) runs synchronously after the tick lock is
 // released, so it can safely mutate the engine.
 func (e *Engine) Tick(ctx context.Context) {
-	epoch, snap, ok := e.tickLocked(ctx)
+	epoch, snap, prev, ok := e.tickLocked(ctx)
 	if ok && e.onEpoch != nil {
-		e.onEpoch(epoch, snap)
+		e.onEpoch(epoch, snap, prev)
 	}
 }
 
-func (e *Engine) tickLocked(ctx context.Context) (uint64, *Snapshot, bool) {
+func (e *Engine) tickLocked(ctx context.Context) (epoch uint64, snap, prev *Snapshot, ok bool) {
 	e.tickMu.Lock()
 	defer e.tickMu.Unlock()
 
@@ -381,7 +398,7 @@ func (e *Engine) tickLocked(ctx context.Context) (uint64, *Snapshot, bool) {
 	if err != nil {
 		s := err.Error()
 		e.advanceErr.Store(&s)
-		return 0, nil, false
+		return 0, nil, nil, false
 	}
 	e.epoch++
 	e.simHours += e.epochHours
@@ -390,13 +407,14 @@ func (e *Engine) tickLocked(ctx context.Context) (uint64, *Snapshot, bool) {
 		e.flushLocked(ctx)
 	}
 	e.publishSnapshotLocked()
+	prev, e.tickSnap = e.tickSnap, e.snap.Load()
 
 	elapsed := time.Since(start)
 	e.lastTickNanos.Store(int64(elapsed))
 	if secs := elapsed.Seconds(); secs > 0 {
 		e.cpsBits.Store(math.Float64bits(float64(e.chips.Load()) / secs))
 	}
-	return e.epoch, e.snap.Load(), true
+	return e.epoch, e.tickSnap, prev, true
 }
 
 // advanceAll steps every partition one epoch of dt on the bounded

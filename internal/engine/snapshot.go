@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"sort"
 	"time"
 
@@ -63,6 +64,30 @@ func (s *Snapshot) Chip(id string) (ChipView, bool) {
 		VthShift: pv.Vth[i], Odometer: pv.Odo[i],
 		Phase: phaseName(pv.Phase[i]), Duty: pv.Duty[i],
 	}, true
+}
+
+// PrevVth returns partition pi's threshold shifts as of prev,
+// index-aligned with s.Parts[pi].IDs; chips prev does not hold (prev
+// nil, or registered since) read NaN. While the partition's
+// copy-on-write id slice is still shared with prev, this is prev's own
+// (read-only) array: no allocation, no lookups. After a membership
+// change each chip is looked up by id.
+func (s *Snapshot) PrevVth(prev *Snapshot, pi int) []float64 {
+	cur, old := &s.Parts[pi], PartView{}
+	if prev != nil {
+		old = prev.Parts[pi]
+	}
+	if len(old.IDs) == len(cur.IDs) && (len(cur.IDs) == 0 || &old.IDs[0] == &cur.IDs[0]) {
+		return old.Vth
+	}
+	vth := make([]float64, len(cur.IDs))
+	for i, id := range cur.IDs {
+		vth[i] = math.NaN()
+		if j, ok := old.Index[id]; ok {
+			vth[i] = old.Vth[j]
+		}
+	}
+	return vth
 }
 
 // Has reports whether id is registered as of this snapshot.

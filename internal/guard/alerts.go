@@ -37,38 +37,3 @@ type Alert struct {
 	// alerts (zero for lifecycle alerts).
 	DeltaV float64 `json:"delta_v,omitempty"`
 }
-
-// alertRing is a fixed-capacity overwrite ring; callers hold Guard.mu.
-type alertRing struct {
-	buf  []Alert
-	next int
-	n    int
-}
-
-func newAlertRing(capacity int) *alertRing {
-	if capacity <= 0 {
-		capacity = 256
-	}
-	return &alertRing{buf: make([]Alert, capacity)}
-}
-
-func (r *alertRing) push(a Alert) {
-	r.buf[r.next] = a
-	r.next = (r.next + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
-	}
-}
-
-// snapshot returns the retained alerts, newest first, at most limit
-// (0 = all retained).
-func (r *alertRing) snapshot(limit int) []Alert {
-	if limit <= 0 || limit > r.n {
-		limit = r.n
-	}
-	out := make([]Alert, 0, limit)
-	for i := 1; i <= limit; i++ {
-		out = append(out, r.buf[(r.next-i+len(r.buf))%len(r.buf)])
-	}
-	return out
-}

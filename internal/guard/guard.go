@@ -54,11 +54,10 @@ type Guard struct {
 
 	mu        sync.Mutex
 	lastEpoch uint64
-	prevVth   map[string]float64
 	states    map[string]*chipState
 	victims   bool // adversary victim set picked
 	adopted   bool // pre-existing fleet quarantines re-adopted
-	ring      *alertRing
+	ring      *obs.Ring[Alert]
 	seq       uint64
 
 	alertsTotal uint64
@@ -80,11 +79,10 @@ func New(d Deps, cfg Config) (*Guard, error) {
 		return nil, fmt.Errorf("guard: an engine is required")
 	}
 	return &Guard{
-		cfg:     cfg,
-		d:       d,
-		prevVth: map[string]float64{},
-		states:  map[string]*chipState{},
-		ring:    newAlertRing(256),
+		cfg:    cfg,
+		d:      d,
+		states: map[string]*chipState{},
+		ring:   obs.NewRing[Alert](256),
 	}, nil
 }
 
@@ -114,10 +112,11 @@ func (g *Guard) Reconfigure(cfg Config) error {
 
 // OnEpoch is the engine hook: red-team actions are applied first (the
 // attack plays this epoch), then the monitor judges the snapshot's
-// Vth deltas against the previous epoch and the responder reacts. A
-// nil guard is inert, and stale or repeated epochs are ignored, so
-// concurrent Tick callers cannot double-apply an epoch.
-func (g *Guard) OnEpoch(epoch uint64, snap *engine.Snapshot) {
+// Vth deltas against prev — the previous tick's snapshot, nil on the
+// engine's first tick — and the responder reacts. A nil guard is
+// inert, and stale or repeated epochs are ignored, so concurrent Tick
+// callers cannot double-apply an epoch.
+func (g *Guard) OnEpoch(epoch uint64, snap, prev *engine.Snapshot) {
 	if g == nil || snap == nil {
 		return
 	}
@@ -131,7 +130,7 @@ func (g *Guard) OnEpoch(epoch uint64, snap *engine.Snapshot) {
 	ctx := context.Background()
 	g.adoptQuarantined(ctx, epoch, snap)
 	g.applyAdversary(ctx, epoch, snap)
-	g.observe(ctx, epoch, snap)
+	g.observe(ctx, epoch, snap, prev)
 }
 
 // adoptQuarantined runs once, on the guard's first epoch: chips the
@@ -250,9 +249,9 @@ func (g *Guard) blocked(id string) bool {
 }
 
 // observe runs the monitor over one snapshot: per-chip Vth deltas vs
-// the previous epoch, a robust fleet baseline (median + scaled MAD),
-// outlier streaks, and the quarantine/rejuvenation/release lifecycle.
-func (g *Guard) observe(ctx context.Context, epoch uint64, snap *engine.Snapshot) {
+// prev, a robust fleet baseline (median + scaled MAD), outlier
+// streaks, and the quarantine/rejuvenation/release lifecycle.
+func (g *Guard) observe(ctx context.Context, epoch uint64, snap, prev *engine.Snapshot) {
 	type obsChip struct {
 		id    string
 		vth   float64
@@ -266,10 +265,11 @@ func (g *Guard) observe(ctx context.Context, epoch uint64, snap *engine.Snapshot
 	vths := make([]float64, 0, snap.Chips)
 	for pi := range snap.Parts {
 		pv := &snap.Parts[pi]
+		prevVth := snap.PrevVth(prev, pi)
 		for i, id := range pv.IDs {
 			oc := obsChip{id: id, vth: pv.Vth[i], sleep: pv.Phase[i] != 0}
-			if prev, ok := g.prevVth[id]; ok {
-				oc.prev, oc.delta, oc.known = prev, pv.Vth[i]-prev, true
+			if p := prevVth[i]; !math.IsNaN(p) {
+				oc.prev, oc.delta, oc.known = p, pv.Vth[i]-p, true
 				deltas = append(deltas, oc.delta)
 			}
 			vths = append(vths, pv.Vth[i])
@@ -324,7 +324,7 @@ func (g *Guard) observe(ctx context.Context, epoch uint64, snap *engine.Snapshot
 					oc.delta, threshold, st.streak, g.cfg.Streak),
 			})
 			if st.streak >= g.cfg.Streak {
-				g.convict(ctx, epoch, oc.id, st, oc.vth)
+				g.convict(ctx, epoch, oc.id, st, oc.vth, prev.Chips)
 			}
 		} else if st != nil && !st.quarantined {
 			st.streak = 0
@@ -334,19 +334,13 @@ func (g *Guard) observe(ctx context.Context, epoch uint64, snap *engine.Snapshot
 			}
 		}
 	}
-
-	next := make(map[string]float64, len(chips))
-	for i := range chips {
-		next[chips[i].id] = chips[i].vth
-	}
-	g.prevVth = next
 }
 
 // convict moves a chip from suspect to quarantined — unless the SLO
-// budget is spent, in which case the conviction is deferred (streak
-// held) and retried next epoch.
-func (g *Guard) convict(ctx context.Context, epoch uint64, id string, st *chipState, vth float64) {
-	budget := int(g.cfg.MaxQuarFrac * float64(len(g.prevVth)))
+// budget (a share of the previous epoch's prevChips) is spent, in
+// which case the conviction is deferred (streak held) and retried.
+func (g *Guard) convict(ctx context.Context, epoch uint64, id string, st *chipState, vth float64, prevChips int) {
+	budget := int(g.cfg.MaxQuarFrac * float64(prevChips))
 	if budget < 1 {
 		budget = 1
 	}
@@ -461,7 +455,7 @@ func (g *Guard) tendQuarantined(ctx context.Context, epoch uint64, id string, st
 func (g *Guard) alert(ctx context.Context, a Alert) {
 	g.seq++
 	a.Seq = g.seq
-	g.ring.push(a)
+	g.ring.Push(a)
 	g.alertsTotal++
 	if g.d.Tracer != nil {
 		_, sp := g.d.Tracer.Start(ctx, "guard.alert")
@@ -601,5 +595,5 @@ func (g *Guard) Alerts(limit int) []Alert {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.ring.snapshot(limit)
+	return g.ring.Newest(limit)
 }

@@ -64,7 +64,7 @@ func newGuardRig(t *testing.T, cfg Config, d Deps, chips int) *guardRig {
 	eng, err := engine.New(store.NewMem[any](), engine.Config{
 		EpochHours: 0.5,
 		Workers:    1,
-		OnEpoch:    func(epoch uint64, snap *engine.Snapshot) { g.OnEpoch(epoch, snap) },
+		OnEpoch:    func(epoch uint64, snap, prev *engine.Snapshot) { g.OnEpoch(epoch, snap, prev) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -327,5 +327,41 @@ func TestGuardFleetQuarantine(t *testing.T) {
 	}
 	if _, err := fl.Stress(ctx, victim, fleet.PhaseRequest{TempC: 85, Vdd: 1.2, Hours: 1}); err != nil {
 		t.Fatalf("stress after release: %v", err)
+	}
+}
+
+// TestGuardLateRegistrationDelta: a chip registered between ticks has
+// no previous reading on its first hooked epoch, so it cannot be
+// judged there; on its second it has a delta, and a hot newcomer is
+// flagged with exactly the Vth step between the two epochs.
+func TestGuardLateRegistrationDelta(t *testing.T) {
+	ctx := context.Background()
+	rig := newGuardRig(t, Config{}, Deps{}, 16)
+	rig.tick(4)
+	if err := rig.eng.Register(ctx, engine.Spec{ID: "late", TempC: 110, Vdd: 1.32, Duty: 1}); err != nil {
+		t.Fatal(err)
+	}
+	outliers := func() []Alert {
+		var out []Alert
+		for _, a := range rig.guard.Alerts(0) {
+			if a.Kind == AlertOutlier && a.Chip == "late" {
+				out = append(out, a)
+			}
+		}
+		return out
+	}
+	rig.tick(1)
+	first, _ := rig.eng.Snapshot().Chip("late")
+	if got := outliers(); len(got) != 0 {
+		t.Fatalf("newcomer judged on its first hooked epoch: %+v", got)
+	}
+	rig.tick(1)
+	second, _ := rig.eng.Snapshot().Chip("late")
+	got := outliers()
+	if len(got) != 1 || got[0].Epoch != second.Epoch {
+		t.Fatalf("second hooked epoch %d: outlier alerts %+v, want one", second.Epoch, got)
+	}
+	if want := second.VthShift - first.VthShift; got[0].DeltaV != want {
+		t.Fatalf("newcomer delta %v, want %v", got[0].DeltaV, want)
 	}
 }

@@ -79,8 +79,7 @@ const ringShards = 8
 
 type ringShard struct {
 	mu   sync.Mutex
-	buf  []*Trace // ring storage; nil slots are not-yet-filled
-	next int
+	ring *Ring[*Trace]
 }
 
 // NewTracer returns a tracer retaining roughly capacity completed
@@ -93,7 +92,7 @@ func NewTracer(capacity int) *Tracer {
 	per := (capacity + ringShards - 1) / ringShards
 	t := &Tracer{perShard: per}
 	for i := range t.shards {
-		t.shards[i].buf = make([]*Trace, per)
+		t.shards[i].ring = NewRing[*Trace](per)
 	}
 	return t
 }
@@ -303,8 +302,7 @@ func (s *Span) End() {
 func (t *Tracer) retain(tr *Trace) {
 	sh := &t.shards[t.seq.Add(1)%ringShards]
 	sh.mu.Lock()
-	sh.buf[sh.next] = tr
-	sh.next = (sh.next + 1) % len(sh.buf)
+	sh.ring.Push(tr)
 	sh.mu.Unlock()
 }
 
@@ -365,11 +363,7 @@ func (t *Tracer) Snapshot(f Filter) []TraceView {
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.Lock()
-		for _, tr := range sh.buf {
-			if tr != nil {
-				all = append(all, tr)
-			}
-		}
+		all = append(all, sh.ring.Oldest()...)
 		sh.mu.Unlock()
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].start.After(all[j].start) })

@@ -3,7 +3,7 @@
 // buffer of (epoch, value, wall-time) samples: appending is O(1),
 // memory is bounded at construction (capacity samples per series,
 // MaxSeries series), and the oldest samples are overwritten in place —
-// the same discipline as the obs trace ring and the guard alert ring.
+// each series is an obs.Ring, as are the trace shards and alert logs.
 //
 // The store deliberately does not know what the series mean. The serve
 // layer's per-epoch recorder feeds it fleet aggregates (margin
@@ -22,6 +22,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"selfheal/internal/obs"
 )
 
 // MaxSeries bounds the number of distinct series a DB will hold, so a
@@ -44,13 +46,10 @@ type Sample struct {
 	Value float64 `json:"value"`
 }
 
-// series is one ring buffer. n is the count of valid samples (<= cap),
-// next the slot the next append overwrites.
+// series is one ring buffer of samples, oldest overwritten first.
 type series struct {
 	mu   sync.Mutex
-	buf  []Sample
-	next int
-	n    int
+	ring *obs.Ring[Sample]
 }
 
 // DB is a set of named ring-buffer series. All methods are safe for
@@ -94,17 +93,13 @@ func (db *DB) AppendAt(name string, epoch uint64, value float64, unix int64) {
 				db.mu.Unlock()
 				return
 			}
-			s = &series{buf: make([]Sample, db.capacity)}
+			s = &series{ring: obs.NewRing[Sample](db.capacity)}
 			db.series[name] = s
 		}
 		db.mu.Unlock()
 	}
 	s.mu.Lock()
-	s.buf[s.next] = Sample{Epoch: epoch, Unix: unix, Value: value}
-	s.next = (s.next + 1) % len(s.buf)
-	if s.n < len(s.buf) {
-		s.n++
-	}
+	s.ring.Push(Sample{Epoch: epoch, Unix: unix, Value: value})
 	s.mu.Unlock()
 }
 
@@ -159,14 +154,7 @@ func (db *DB) Select(name string, q Query) []Sample {
 		return nil
 	}
 	s.mu.Lock()
-	raw := make([]Sample, 0, s.n)
-	start := s.next - s.n
-	if start < 0 {
-		start += len(s.buf)
-	}
-	for i := 0; i < s.n; i++ {
-		raw = append(raw, s.buf[(start+i)%len(s.buf)])
-	}
+	raw := s.ring.Oldest()
 	s.mu.Unlock()
 
 	out := raw[:0]
@@ -193,15 +181,12 @@ func (db *DB) Latest(name string) (Sample, bool) {
 		return Sample{}, false
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n == 0 {
+	newest := s.ring.Newest(1)
+	s.mu.Unlock()
+	if len(newest) == 0 {
 		return Sample{}, false
 	}
-	i := s.next - 1
-	if i < 0 {
-		i += len(s.buf)
-	}
-	return s.buf[i], true
+	return newest[0], true
 }
 
 // downsample collapses samples (oldest first) into Epoch/step buckets,

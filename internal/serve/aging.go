@@ -102,8 +102,7 @@ type EngineTickResponse struct {
 }
 
 // AgingEngine returns the fleet aging engine, or nil when the service
-// runs without one (exported for tests and embedders; the prediction
-// engine is Engine).
+// runs without one (exported for tests and embedders).
 func (s *Server) AgingEngine() *engine.Engine { return s.aging }
 
 // requireEngine 404s engine routes when the engine is not enabled.

@@ -1,8 +1,8 @@
 // Package serve is the fleet aging service: an HTTP JSON API that
 // hosts a registry of named simulated chips (stress / rejuvenate /
 // measure, guarded per chip so different chips progress in parallel)
-// and a stateless prediction engine for the closed-form model, fronted
-// by a bounded LRU memo cache — every simulation here is deterministic
+// and a stateless predictor for the closed-form model, fronted by a
+// bounded LRU memo cache — every simulation here is deterministic
 // given its parameters, so identical requests are served from cache.
 //
 // The wire types in this file are shared with the CLIs (`selfheal-mc

@@ -333,7 +333,7 @@ func (s *Server) handlePredictShift(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, err)
 		return
 	}
-	resp, err := s.engine.Shift(r.Context(), req)
+	resp, err := s.predict.Shift(r.Context(), req)
 	if err != nil {
 		s.writeError(w, r, err)
 		return
@@ -347,7 +347,7 @@ func (s *Server) handlePredictSchedules(w http.ResponseWriter, r *http.Request) 
 		s.writeError(w, r, err)
 		return
 	}
-	resp, err := s.engine.Schedules(r.Context(), req)
+	resp, err := s.predict.Schedules(r.Context(), req)
 	if err != nil {
 		s.writeError(w, r, err)
 		return
@@ -361,7 +361,7 @@ func (s *Server) handlePredictMulticore(w http.ResponseWriter, r *http.Request) 
 		s.writeError(w, r, err)
 		return
 	}
-	resp, err := s.engine.Multicore(r.Context(), req)
+	resp, err := s.predict.Multicore(r.Context(), req)
 	if err != nil {
 		s.writeError(w, r, err)
 		return

@@ -269,11 +269,11 @@ func engineMetrics(e *engine.Engine, topK int) *EngineMetrics {
 	return em
 }
 
-// Snapshot assembles the exported view, folding in the engine's cache
-// stats, the fleet's per-chip usage, and — when the store is durable —
+// Snapshot assembles the exported view, folding in the predictor's
+// cache stats, the fleet's per-chip usage, and — when the store is durable —
 // its journal's fsync accounting, the degraded-mode supervisor, and
 // the chaos injector's counters.
-func (m *Metrics) Snapshot(engine *Engine, fl *fleet.Service, inj *faults.Injector, g *gate) MetricsSnapshot {
+func (m *Metrics) Snapshot(predict *Predictor, fl *fleet.Service, inj *faults.Injector, g *gate) MetricsSnapshot {
 	snap := MetricsSnapshot{
 		UptimeSeconds:   time.Since(m.start).Seconds(),
 		Chips:           fl.Usage(),
@@ -303,7 +303,7 @@ func (m *Metrics) Snapshot(engine *Engine, fl *fleet.Service, inj *faults.Inject
 		fs := inj.Stats()
 		snap.Faults = &fs
 	}
-	hits, misses, entries, capacity := engine.CacheStats()
+	hits, misses, entries, capacity := predict.CacheStats()
 	snap.Cache = CacheSnapshot{Hits: hits, Misses: misses, Entries: entries, Capacity: capacity}
 
 	m.mu.Lock()

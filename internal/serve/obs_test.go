@@ -370,7 +370,7 @@ func TestObserveSnapshotTraceRingConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				s.metrics.Snapshot(s.engine, s.fleet, s.faults, s.gate)
+				s.metrics.Snapshot(s.predict, s.fleet, s.faults, s.gate)
 				s.tracer.Snapshot(obs.Filter{Route: "GET /hammer"})
 				if i%10 == 0 {
 					doRaw(t, ts, "GET", "/metrics?format=prometheus", "")
@@ -382,7 +382,7 @@ func TestObserveSnapshotTraceRingConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 
-	snap := s.metrics.Snapshot(s.engine, s.fleet, s.faults, s.gate)
+	snap := s.metrics.Snapshot(s.predict, s.fleet, s.faults, s.gate)
 	rs, ok := snap.Requests["GET /hammer"]
 	if !ok {
 		t.Fatal("hammer route missing from snapshot")

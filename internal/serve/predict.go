@@ -11,12 +11,12 @@ import (
 	"selfheal/internal/lru"
 )
 
-// Engine evaluates the stateless prediction endpoints. Every
+// Predictor evaluates the stateless prediction endpoints. Every
 // simulation behind it is deterministic given its parameters, so
 // results are memoized in a bounded LRU cache; concurrent identical
 // requests are additionally collapsed into a single computation
 // (singleflight) so a thundering herd costs one simulation.
-type Engine struct {
+type Predictor struct {
 	cache *lru.Cache[string, any]
 
 	mu       sync.Mutex
@@ -29,32 +29,33 @@ type call struct {
 	err  error
 }
 
-// NewEngine returns an engine whose memo cache holds cacheSize results.
-func NewEngine(cacheSize int) (*Engine, error) {
+// NewPredictor returns a predictor whose memo cache holds cacheSize
+// results.
+func NewPredictor(cacheSize int) (*Predictor, error) {
 	cache, err := lru.New[string, any](cacheSize)
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{cache: cache, inflight: make(map[string]*call)}, nil
+	return &Predictor{cache: cache, inflight: make(map[string]*call)}, nil
 }
 
 // CacheStats reports cumulative cache hits/misses and residency.
-func (e *Engine) CacheStats() (hits, misses uint64, entries, capacity int) {
-	hits, misses = e.cache.Stats()
-	return hits, misses, e.cache.Len(), e.cache.Capacity()
+func (p *Predictor) CacheStats() (hits, misses uint64, entries, capacity int) {
+	hits, misses = p.cache.Stats()
+	return hits, misses, p.cache.Len(), p.cache.Capacity()
 }
 
 // memoize returns the cached value for key, or computes it once —
 // concurrent callers with the same key wait for the leader instead of
 // recomputing. Errors are never cached. The boolean reports whether
 // the value came from the cache.
-func (e *Engine) memoize(ctx context.Context, key string, compute func() (any, error)) (any, bool, error) {
-	if v, ok := e.cache.Get(key); ok {
+func (p *Predictor) memoize(ctx context.Context, key string, compute func() (any, error)) (any, bool, error) {
+	if v, ok := p.cache.Get(key); ok {
 		return v, true, nil
 	}
-	e.mu.Lock()
-	if c, ok := e.inflight[key]; ok {
-		e.mu.Unlock()
+	p.mu.Lock()
+	if c, ok := p.inflight[key]; ok {
+		p.mu.Unlock()
 		select {
 		case <-c.done:
 			return c.val, false, c.err
@@ -63,16 +64,16 @@ func (e *Engine) memoize(ctx context.Context, key string, compute func() (any, e
 		}
 	}
 	c := &call{done: make(chan struct{})}
-	e.inflight[key] = c
-	e.mu.Unlock()
+	p.inflight[key] = c
+	p.mu.Unlock()
 
 	c.val, c.err = compute()
 	if c.err == nil {
-		e.cache.Add(key, c.val)
+		p.cache.Add(key, c.val)
 	}
-	e.mu.Lock()
-	delete(e.inflight, key)
-	e.mu.Unlock()
+	p.mu.Lock()
+	delete(p.inflight, key)
+	p.mu.Unlock()
 	close(c.done)
 	return c.val, false, c.err
 }
@@ -126,11 +127,11 @@ func validateShift(req ShiftRequest) error {
 
 // Shift evaluates the closed-form TD model for one stress (and
 // optionally one recovery) interval.
-func (e *Engine) Shift(ctx context.Context, req ShiftRequest) (ShiftResponse, error) {
+func (p *Predictor) Shift(ctx context.Context, req ShiftRequest) (ShiftResponse, error) {
 	if err := validateShift(req); err != nil {
 		return ShiftResponse{}, err
 	}
-	v, cached, err := e.memoize(ctx, cacheKey("shift", req), func() (any, error) {
+	v, cached, err := p.memoize(ctx, cacheKey("shift", req), func() (any, error) {
 		resp := ShiftResponse{
 			ShiftV: selfheal.StressShiftV(
 				selfheal.StressCondition{TempC: req.TempC, Vdd: req.Vdd},
@@ -170,7 +171,7 @@ func buildPolicy(i int, spec PolicySpec) (selfheal.Policy, error) {
 // Schedules compares rejuvenation policies over a horizon. The cache
 // key excludes IncludeTrace: cached outcomes retain their traces and
 // the response is trimmed per request.
-func (e *Engine) Schedules(ctx context.Context, req SchedulesRequest) (SchedulesResponse, error) {
+func (p *Predictor) Schedules(ctx context.Context, req SchedulesRequest) (SchedulesResponse, error) {
 	if err := finite("horizon_days", req.HorizonDays); err != nil {
 		return SchedulesResponse{}, err
 	}
@@ -179,15 +180,15 @@ func (e *Engine) Schedules(ctx context.Context, req SchedulesRequest) (Schedules
 	}
 	policies := make([]selfheal.Policy, len(req.Policies))
 	for i, spec := range req.Policies {
-		p, err := buildPolicy(i, spec)
+		pol, err := buildPolicy(i, spec)
 		if err != nil {
 			return SchedulesResponse{}, err
 		}
-		policies[i] = p
+		policies[i] = pol
 	}
 	keyReq := req
 	keyReq.IncludeTrace = false
-	v, cached, err := e.memoize(ctx, cacheKey("schedules", keyReq), func() (any, error) {
+	v, cached, err := p.memoize(ctx, cacheKey("schedules", keyReq), func() (any, error) {
 		return selfheal.CompareSchedules(req.Seed, req.HorizonDays, policies...)
 	})
 	if err != nil {
@@ -202,11 +203,11 @@ func (e *Engine) Schedules(ctx context.Context, req SchedulesRequest) (Schedules
 // Multicore runs the Section 6.2 exploration. The context propagates
 // into the slot loop, so a cancelled request (or a shutting-down
 // server) aborts the run instead of simulating to the horizon.
-func (e *Engine) Multicore(ctx context.Context, req MulticoreRequest) (MulticoreResponse, error) {
+func (p *Predictor) Multicore(ctx context.Context, req MulticoreRequest) (MulticoreResponse, error) {
 	if err := finite("days", req.Days); err != nil {
 		return MulticoreResponse{}, err
 	}
-	v, cached, err := e.memoize(ctx, cacheKey("multicore", req), func() (any, error) {
+	v, cached, err := p.memoize(ctx, cacheKey("multicore", req), func() (any, error) {
 		return selfheal.RunMulticoreContext(ctx, selfheal.MulticoreScheduler(req.Scheduler), req.Demand, req.Days)
 	})
 	if err != nil {

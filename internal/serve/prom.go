@@ -26,7 +26,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		w.Write(buf.Bytes())
 		return
 	}
-	snap := s.metrics.Snapshot(s.engine, s.fleet, s.faults, s.gate)
+	snap := s.metrics.Snapshot(s.predict, s.fleet, s.faults, s.gate)
 	snap.Engine = engineMetrics(s.aging, s.cfg.MetricsChipLimit)
 	snap.Guard = guardMetrics(s.guard, s.fleet)
 	snap.Cluster = clusterMetrics(s.cluster)

@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"selfheal/internal/engine"
@@ -185,14 +184,14 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is the transport layer: routing, middleware and wire types
-// over the fleet domain service and the prediction engine. All chip
+// over the fleet domain service and the prediction cache. All chip
 // state lives in the fleet (and its store); the server owns only the
 // HTTP concerns — shedding, timeouts, the degraded-mode gate.
 type Server struct {
 	cfg     Config
 	log     *slog.Logger
 	fleet   *fleet.Service
-	engine  *Engine
+	predict *Predictor
 	aging   *engine.Engine
 	manual  bool // the aging engine's clock is manual (ticks via API only)
 	guard   *guard.Guard
@@ -213,7 +212,7 @@ type Server struct {
 // accounting under /metrics).
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	predict, err := NewEngine(cfg.CacheSize)
+	predict, err := NewPredictor(cfg.CacheSize)
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +231,7 @@ func New(cfg Config) (*Server, error) {
 		// for handlers already wrapped, e.g. by cmd/selfheal-serve).
 		log:     slog.New(obs.WithTraceIDs(cfg.Logger.Handler())),
 		fleet:   fl,
-		engine:  predict,
+		predict: predict,
 		metrics: NewMetrics(),
 		faults:  cfg.Faults,
 		tracer:  obs.NewTracer(cfg.TraceBuffer),
@@ -280,31 +279,24 @@ func New(cfg Config) (*Server, error) {
 			Workers:    cfg.EngineWorkers,
 			Tracer:     s.tracer,
 		}
-		// The guard (and the engine handle itself) are wired after the
-		// engine is built, but the engine's ticker may already be
-		// running by then, so the hook indirects through atomic
-		// pointers (a nil guard is inert; epochs before the handoff go
-		// unobserved). The guard runs first — the telemetry recorder
-		// then sees the epoch's quarantine decisions.
-		var guardPtr atomic.Pointer[guard.Guard]
-		var agingPtr atomic.Pointer[engine.Engine]
+		// The hook reads s.aging and s.guard, wired below before the
+		// wall-clock ticker starts (Start, last in New). The guard runs
+		// first (a nil guard is inert) — the telemetry recorder then
+		// sees the epoch's quarantine decisions.
 		var replStats func() *repl.Stats
 		if cfg.Cluster != nil {
 			replStats = cfg.Cluster.ReplStats
 		}
-		ecfg.OnEpoch = func(epoch uint64, snap *engine.Snapshot) {
-			if cfg.GuardEnabled {
-				guardPtr.Load().OnEpoch(epoch, snap)
-			}
+		ecfg.OnEpoch = func(epoch uint64, snap, prev *engine.Snapshot) {
+			s.guard.OnEpoch(epoch, snap, prev)
 			mut, errs := s.metrics.mutationCounts()
-			s.telem.record(epoch, snap, agingPtr.Load(), guardPtr.Load(), replStats, mut, errs)
+			s.telem.record(epoch, snap, prev, s.aging, s.guard, replStats, mut, errs)
 		}
 		aging, err := engine.New(st, ecfg)
 		if err != nil {
 			return nil, err
 		}
 		s.aging = aging
-		agingPtr.Store(aging)
 		if err := s.syncEngineFleet(); err != nil {
 			aging.Close()
 			return nil, err
@@ -334,12 +326,14 @@ func New(cfg Config) (*Server, error) {
 				return nil, err
 			}
 			s.guard = gd
-			guardPtr.Store(gd)
 			s.log.Info("guard started", "spec", guardCfg.String(),
 				"adversary", cfg.Adversary != nil)
 		}
 	}
 	s.handler = s.routes()
+	if s.aging != nil {
+		s.aging.Start()
+	}
 	return s, nil
 }
 
@@ -363,9 +357,9 @@ func (s *Server) Close() {
 	}
 }
 
-// Engine returns the prediction engine (exported for tests and for
+// Predictor returns the prediction cache (exported for tests and for
 // embedding the service into a larger process).
-func (s *Server) Engine() *Engine { return s.engine }
+func (s *Server) Predictor() *Predictor { return s.predict }
 
 // Tracer returns the request-trace ring (exported for tests and for
 // mounting the debug endpoints on a separate listener).

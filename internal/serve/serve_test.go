@@ -245,7 +245,7 @@ func TestMulticoreCancellation(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := s.Engine().Multicore(ctx, MulticoreRequest{Scheduler: "circadian", Demand: 2, Days: 365})
+	_, err := s.Predictor().Multicore(ctx, MulticoreRequest{Scheduler: "circadian", Demand: 2, Days: 365})
 	if err == nil || !strings.Contains(err.Error(), "aborted") {
 		t.Fatalf("cancelled run: err = %v, want slot-abort error", err)
 	}

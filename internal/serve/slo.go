@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"selfheal/internal/obs"
 	"selfheal/internal/obs/tsdb"
 )
 
@@ -45,7 +46,7 @@ type SLOStatus struct {
 }
 
 // SLOAlert is one typed breach/recovery event in the monitor's alert
-// ring (the guard-style fixed-capacity overwrite ring).
+// ring.
 type SLOAlert struct {
 	Seq    uint64    `json:"seq"`
 	Time   time.Time `json:"time"`
@@ -62,8 +63,10 @@ type sloConfig struct {
 	AvailBudget   float64 // tolerated 5xx fraction of mutations (default 0.05)
 	LagBudget     float64 // tolerated per-epoch start lag in seconds (default 1)
 	LagFracBudget float64 // tolerated fraction of late epochs (default 0.25)
-	AlertCap      int     // alert ring capacity (default 128)
 }
+
+// sloAlertCap is how many SLO alerts the monitor retains.
+const sloAlertCap = 128
 
 func (c sloConfig) withDefaults() sloConfig {
 	if c.Window <= 0 {
@@ -77,9 +80,6 @@ func (c sloConfig) withDefaults() sloConfig {
 	}
 	if c.LagFracBudget <= 0 {
 		c.LagFracBudget = 0.25
-	}
-	if c.AlertCap <= 0 {
-		c.AlertCap = 128
 	}
 	return c
 }
@@ -97,8 +97,7 @@ type sloMonitor struct {
 
 	mu          sync.Mutex
 	status      map[SLOKind]SLOStatus
-	ring        []SLOAlert // fixed ring; next is the overwrite cursor
-	next, n     int
+	ring        *obs.Ring[SLOAlert]
 	seq         uint64
 	alertsTotal uint64
 	breaches    uint64
@@ -109,7 +108,7 @@ func newSLOMonitor(cfg sloConfig) *sloMonitor {
 	return &sloMonitor{
 		cfg:    cfg,
 		status: make(map[SLOKind]SLOStatus, len(sloKinds)),
-		ring:   make([]SLOAlert, cfg.AlertCap),
+		ring:   obs.NewRing[SLOAlert](sloAlertCap),
 	}
 }
 
@@ -152,11 +151,7 @@ func (m *sloMonitor) push(a SLOAlert) {
 	a.Seq = m.seq
 	a.Time = time.Now()
 	m.alertsTotal++
-	m.ring[m.next] = a
-	m.next = (m.next + 1) % len(m.ring)
-	if m.n < len(m.ring) {
-		m.n++
-	}
+	m.ring.Push(a)
 }
 
 // evalAvailability: 5xx fraction of mutating requests over the window.
@@ -242,14 +237,7 @@ func (m *sloMonitor) snapshot(limit int) ([]SLOStatus, []SLOAlert) {
 			statuses = append(statuses, st)
 		}
 	}
-	if limit <= 0 || limit > m.n {
-		limit = m.n
-	}
-	alerts := make([]SLOAlert, 0, limit)
-	for i := 1; i <= limit; i++ {
-		alerts = append(alerts, m.ring[((m.next-i)%len(m.ring)+len(m.ring))%len(m.ring)])
-	}
-	return statuses, alerts
+	return statuses, m.ring.Newest(limit)
 }
 
 // counters reports lifetime alert totals.

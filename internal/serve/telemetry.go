@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"net/http"
 	"net/url"
 	"sort"
@@ -26,24 +27,19 @@ type telemetry struct {
 	slo *sloMonitor
 
 	mu      sync.Mutex
-	prevVth map[string]float64 // last epoch's per-chip Vth, for aging rates
-	mutPrev uint64             // mutating-request total at the last epoch
-	errPrev uint64             // 5xx mutating-request total at the last epoch
+	mutPrev uint64 // mutating-request total at the last epoch
+	errPrev uint64 // 5xx mutating-request total at the last epoch
 	seeded  bool
 }
 
 func newTelemetry(capacity int, slo *sloMonitor) *telemetry {
-	return &telemetry{
-		db:      tsdb.New(capacity),
-		slo:     slo,
-		prevVth: make(map[string]float64),
-	}
+	return &telemetry{db: tsdb.New(capacity), slo: slo}
 }
 
-// record reduces one epoch. gd and aging may be nil during startup
-// (the OnEpoch hook can fire before New finishes wiring); repl stats
-// may be nil outside cluster mode.
-func (t *telemetry) record(epoch uint64, snap *engine.Snapshot, aging *engine.Engine, gd *guard.Guard, replStats func() *repl.Stats, mutTotal, mutErrs uint64) {
+// record reduces one epoch; prev is the previous tick's snapshot (nil
+// on the engine's first tick), the baseline for aging rates. gd is nil
+// without the guard and replStats nil outside cluster mode.
+func (t *telemetry) record(epoch uint64, snap, prev *engine.Snapshot, aging *engine.Engine, gd *guard.Guard, replStats func() *repl.Stats, mutTotal, mutErrs uint64) {
 	db := t.db
 
 	// Margin distribution. Margin is the guard band still unconsumed,
@@ -62,22 +58,16 @@ func (t *telemetry) record(epoch uint64, snap *engine.Snapshot, aging *engine.En
 	}
 
 	// Aging-rate distribution: per-chip ΔVth since the previous epoch.
-	t.mu.Lock()
-	rates := make([]float64, 0, len(t.prevVth))
-	next := make(map[string]float64, len(t.prevVth))
+	rates := make([]float64, 0, snap.Chips)
 	for pi := range snap.Parts {
-		pv := &snap.Parts[pi]
-		for i, id := range pv.IDs {
-			if i >= len(pv.Vth) {
-				break
+		prevVth := snap.PrevVth(prev, pi)
+		for i, vth := range snap.Parts[pi].Vth {
+			if p := prevVth[i]; !math.IsNaN(p) {
+				rates = append(rates, vth-p)
 			}
-			if prev, ok := t.prevVth[id]; ok {
-				rates = append(rates, pv.Vth[i]-prev)
-			}
-			next[id] = pv.Vth[i]
 		}
 	}
-	t.prevVth = next
+	t.mu.Lock()
 	seeded := t.seeded
 	dMut, dErr := mutTotal-t.mutPrev, mutErrs-t.errPrev
 	t.mutPrev, t.errPrev = mutTotal, mutErrs
@@ -97,12 +87,10 @@ func (t *telemetry) record(epoch uint64, snap *engine.Snapshot, aging *engine.En
 		db.Append("mutation_errors_per_epoch", epoch, float64(dErr))
 	}
 
-	if aging != nil {
-		st := aging.Stats()
-		db.Append("epoch_lag_seconds", epoch, st.EpochLagSeconds)
-		db.Append("tick_seconds", epoch, st.LastTickSeconds)
-		db.Append("engine_chips", epoch, float64(st.Chips))
-	}
+	st := aging.Stats()
+	db.Append("epoch_lag_seconds", epoch, st.EpochLagSeconds)
+	db.Append("tick_seconds", epoch, st.LastTickSeconds)
+	db.Append("engine_chips", epoch, float64(st.Chips))
 
 	if gd != nil {
 		gm := gd.MetricsSnapshot()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -354,5 +355,63 @@ func TestTelemetryConcurrentScrapes(t *testing.T) {
 	do(t, raws["a"], "GET", "/v1/fleet/telemetry", "", http.StatusOK, &fleet)
 	if len(fleet.Nodes) != 2 || fleet.StaleNodes != 0 {
 		t.Fatalf("fleet after hammer = %+v, want 2 fresh nodes", fleet)
+	}
+}
+
+// TestTelemetryLateRegistrationRate: a chip registered between ticks
+// contributes no aging rate on its first recorded epoch and does on
+// its second — a hot newcomer then sets aging_rate_max_v to exactly
+// its own Vth step.
+func TestTelemetryLateRegistrationRate(t *testing.T) {
+	s, ts := engineTestServer(t, Config{})
+	ids := []string{"r0", "r1", "r2"}
+	do(t, ts, "POST", "/v1/engine/chips:batch",
+		`{"chips":[
+			{"id":"r0","temp_c":80,"vdd":1.2,"duty":1},
+			{"id":"r1","temp_c":90,"vdd":1.25,"duty":0.8},
+			{"id":"r2","temp_c":70,"vdd":1.1,"duty":0.5}
+		]}`, http.StatusOK, nil)
+	tickN(t, ts, 3)
+	vth := func(id string) float64 {
+		cv, ok := s.AgingEngine().Snapshot().Chip(id)
+		if !ok {
+			t.Fatalf("chip %s missing", id)
+		}
+		return cv.VthShift
+	}
+	// maxRate is the largest Vth step since before, over ids.
+	maxRate := func(before map[string]float64, ids ...string) float64 {
+		m := math.Inf(-1)
+		for _, id := range ids {
+			m = math.Max(m, vth(id)-before[id])
+		}
+		return m
+	}
+	latestMax := func() tsdb.Sample {
+		sm, ok := s.telem.db.Latest("aging_rate_max_v")
+		if !ok {
+			t.Fatal("no aging_rate_max_v sample")
+		}
+		return sm
+	}
+	before := map[string]float64{}
+	for _, id := range ids {
+		before[id] = vth(id)
+	}
+	do(t, ts, "POST", "/v1/engine/chips:batch",
+		`{"chips":[{"id":"late","temp_c":110,"vdd":1.32,"duty":1}]}`, http.StatusOK, nil)
+
+	tickN(t, ts, 1)
+	if sm := latestMax(); sm.Epoch != 4 || sm.Value != maxRate(before, ids...) {
+		t.Fatalf("first epoch with the newcomer: aging_rate_max_v %+v, want %v over the old chips only",
+			sm, maxRate(before, ids...))
+	}
+	for _, id := range append(ids, "late") {
+		before[id] = vth(id)
+	}
+	tickN(t, ts, 1)
+	want := vth("late") - before["late"]
+	if sm := latestMax(); sm.Epoch != 5 || sm.Value != want || want != maxRate(before, append(ids, "late")...) {
+		t.Fatalf("second epoch: aging_rate_max_v %+v, want the newcomer's step %v", sm, want)
 	}
 }
