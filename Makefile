@@ -1,9 +1,10 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-engine obs-smoke engine-smoke guard-smoke cluster-smoke telemetry-smoke serve
+.PHONY: check fmt vet build test race perfbench bench bench-engine obs-smoke engine-smoke guard-smoke cluster-smoke telemetry-smoke serve
 
-## check: everything CI needs — gofmt, vet, build, tests with the race detector
-check: fmt vet build race
+## check: everything CI needs — gofmt, vet, build, tests with the race
+## detector, and perfbench's own vet and tests
+check: fmt vet build race perfbench
 
 fmt:
 	@files="$$(gofmt -l .)"; if [ -n "$$files" ]; then \
@@ -21,6 +22,13 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
+## perfbench: vet and test the repository benchmark, its own module
+## (the root ./... never builds it), against this tree's internal
+## packages — so an API change that breaks perfbench fails here, not at
+## the next benchmark run
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 ## bench: one pass over every paper artifact, the service cache benchmark,
 ## the registry contention benchmark (single-mutex vs sharded), and the
 ## engine tick benchmark — which refreshes BENCH_engine.json, the
@@ -29,8 +37,9 @@ bench: bench-engine
 	$(GO) run ./cmd/selfheal-bench > /dev/null
 	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/store
 
-## bench-engine: refresh BENCH_engine.json from the engine tick benchmark
-## (10k/100k/1M chips) and the td batch-vs-scalar kernel pair
+## bench-engine: refresh BENCH_engine.json from the engine tick and
+## per-epoch hooks benchmarks (10k/100k/1M chips) and the td
+## batch-vs-scalar kernel pair
 bench-engine:
 	$(GO) run ./scripts/bench-engine
 

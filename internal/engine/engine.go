@@ -29,7 +29,10 @@
 // previous tick published. The engine is the only holder of last
 // epoch's fleet: Snapshot.PrevVth lines prev's threshold shifts up with
 // the current ids, so hooks deriving per-chip aging rates (the guard,
-// the serve layer's telemetry) keep no history of their own.
+// the serve layer's telemetry) keep no history of their own. Reduce
+// turns the pair into one Reduction — previous shifts plus every order
+// statistic those hooks publish — so they share one pass over the
+// fleet instead of each sorting it.
 //
 // # Durability and replay
 //

@@ -40,6 +40,7 @@ type chipState struct {
 	quarEpoch   uint64
 	rejuvEpochs uint64 // accelerated-sleep epochs delivered so far
 	remapped    bool
+	rhythm      bool // the rejuvenation rhythm is installed in the engine
 }
 
 // Guard is the blue team: per-epoch aging-rate monitoring, automated
@@ -110,14 +111,15 @@ func (g *Guard) Reconfigure(cfg Config) error {
 	return nil
 }
 
-// OnEpoch is the engine hook: red-team actions are applied first (the
-// attack plays this epoch), then the monitor judges the snapshot's
-// Vth deltas against prev — the previous tick's snapshot, nil on the
-// engine's first tick — and the responder reacts. A nil guard is
-// inert, and stale or repeated epochs are ignored, so concurrent Tick
-// callers cannot double-apply an epoch.
-func (g *Guard) OnEpoch(epoch uint64, snap, prev *engine.Snapshot) {
-	if g == nil || snap == nil {
+// OnEpoch is the per-epoch hook, fed the epoch's engine.Reduction:
+// red-team actions are applied first (the attack plays this epoch),
+// then the monitor judges each chip's Vth delta since r.Prev — the
+// previous tick's snapshot, nil on the engine's first tick — against
+// the fleet baseline, and the responder reacts. A nil guard is inert,
+// and stale or repeated epochs are ignored, so concurrent Tick callers
+// cannot double-apply an epoch.
+func (g *Guard) OnEpoch(epoch uint64, r *engine.Reduction) {
+	if g == nil || r == nil {
 		return
 	}
 	g.mu.Lock()
@@ -128,9 +130,9 @@ func (g *Guard) OnEpoch(epoch uint64, snap, prev *engine.Snapshot) {
 	g.lastEpoch = epoch
 
 	ctx := context.Background()
-	g.adoptQuarantined(ctx, epoch, snap)
-	g.applyAdversary(ctx, epoch, snap)
-	g.observe(ctx, epoch, snap, prev)
+	g.adoptQuarantined(ctx, epoch, r.Snap)
+	g.applyAdversary(ctx, epoch, r.Snap)
+	g.observe(ctx, epoch, r)
 }
 
 // adoptQuarantined runs once, on the guard's first epoch: chips the
@@ -155,17 +157,10 @@ func (g *Guard) adoptQuarantined(ctx context.Context, epoch uint64, snap *engine
 		if !ok {
 			continue
 		}
-		g.states[id] = &chipState{quarantined: true, quarEpoch: epoch, peakVth: cv.VthShift}
+		st := &chipState{quarantined: true, quarEpoch: epoch, peakVth: cv.VthShift}
+		g.states[id] = st
 		g.quarCount++
-		g.d.Engine.SetConditionBatch(ctx, []engine.CondChange{{ID: id, Cond: engine.Cond{
-			Phase: engine.PhaseStressName, TempC: g.cfg.NominalTempC, Vdd: g.cfg.NominalVdd, Duty: 1,
-		}}})
-		g.d.Engine.SetScheduleBatch(ctx, []engine.SchedChange{{ID: id, Schedule: engine.Schedule{
-			StressEpochs: 1, SleepEpochs: g.cfg.RejuvEpochs,
-			SleepTempC: g.cfg.RejuvTempC, SleepVdd: g.cfg.RejuvVdd,
-		}}})
-		g.alert(ctx, Alert{Epoch: epoch, Kind: AlertRejuvenating, Chip: id,
-			Detail: "re-adopted after restart; healing rhythm re-installed"})
+		g.installRhythm(ctx, epoch, id, st, "re-adopted after restart; healing rhythm re-installed")
 	}
 }
 
@@ -248,40 +243,15 @@ func (g *Guard) blocked(id string) bool {
 	return g.d.Fleet != nil && g.d.Fleet.Quarantined(id)
 }
 
-// observe runs the monitor over one snapshot: per-chip Vth deltas vs
-// prev, a robust fleet baseline (median + scaled MAD), outlier
-// streaks, and the quarantine/rejuvenation/release lifecycle.
-func (g *Guard) observe(ctx context.Context, epoch uint64, snap, prev *engine.Snapshot) {
-	type obsChip struct {
-		id    string
-		vth   float64
-		prev  float64
-		delta float64
-		sleep bool
-		known bool
-	}
-	chips := make([]obsChip, 0, snap.Chips)
-	deltas := make([]float64, 0, snap.Chips)
-	vths := make([]float64, 0, snap.Chips)
-	for pi := range snap.Parts {
-		pv := &snap.Parts[pi]
-		prevVth := snap.PrevVth(prev, pi)
-		for i, id := range pv.IDs {
-			oc := obsChip{id: id, vth: pv.Vth[i], sleep: pv.Phase[i] != 0}
-			if p := prevVth[i]; !math.IsNaN(p) {
-				oc.prev, oc.delta, oc.known = p, pv.Vth[i]-p, true
-				deltas = append(deltas, oc.delta)
-			}
-			vths = append(vths, pv.Vth[i])
-			chips = append(chips, oc)
-		}
-	}
-
-	judge := epoch > g.cfg.Warmup && len(deltas) > 0
+// observe runs the monitor over one epoch: per-chip Vth deltas vs
+// r.Prev judged against the reduction's robust fleet baseline (median
+// + scaled MAD), outlier streaks, and the quarantine/rejuvenation/
+// release lifecycle.
+func (g *Guard) observe(ctx context.Context, epoch uint64, r *engine.Reduction) {
+	judge := epoch > g.cfg.Warmup && r.Deltas > 0
 	var threshold, damageBar float64
 	if judge {
-		med, mad := medianMAD(deltas)
-		threshold = med + g.cfg.SigmaK*1.4826*mad
+		threshold = r.DeltaMedian + g.cfg.SigmaK*1.4826*r.DeltaMAD
 		if threshold < g.cfg.RateFloorV {
 			threshold = g.cfg.RateFloorV
 		}
@@ -292,45 +262,49 @@ func (g *Guard) observe(ctx context.Context, epoch uint64, snap, prev *engine.Sn
 		// log law's steep early-life rate while it catches back up to
 		// the fleet trajectory. Such a chip is *below* median damage,
 		// so the gate lets it catch up; an attacked chip is far above.
-		damageBar = median(vths) + g.cfg.RateFloorV
+		damageBar = r.VthMedian + g.cfg.RateFloorV
 	}
 
 	healthyBar := math.Inf(-1)
 	if judge {
 		healthyBar = damageBar
 	}
-	for i := range chips {
-		oc := &chips[i]
-		st := g.states[oc.id]
-		if st != nil && st.quarantined {
-			g.tendQuarantined(ctx, epoch, oc.id, st, oc.vth, oc.sleep, healthyBar)
-			continue
-		}
-		if !judge || !oc.known {
-			continue
-		}
-		if oc.delta > threshold && oc.vth > damageBar {
-			if st == nil {
-				st = &chipState{}
-				g.states[oc.id] = st
+	for pi := range r.Snap.Parts {
+		pv, prevVth := &r.Snap.Parts[pi], r.PrevVth[pi]
+		for i, id := range pv.IDs {
+			vth := pv.Vth[i]
+			st := g.states[id]
+			if st != nil && st.quarantined {
+				g.tendQuarantined(ctx, epoch, id, st, vth, pv.Phase[i] != 0, healthyBar)
+				continue
 			}
-			if st.streak == 0 {
-				st.onsetVth = oc.prev
+			prev := prevVth[i]
+			if !judge || math.IsNaN(prev) {
+				continue
 			}
-			st.streak++
-			g.alert(ctx, Alert{
-				Epoch: epoch, Kind: AlertOutlier, Chip: oc.id, DeltaV: oc.delta,
-				Detail: fmt.Sprintf("delta %.3g V/epoch over threshold %.3g (streak %d/%d)",
-					oc.delta, threshold, st.streak, g.cfg.Streak),
-			})
-			if st.streak >= g.cfg.Streak {
-				g.convict(ctx, epoch, oc.id, st, oc.vth, prev.Chips)
-			}
-		} else if st != nil && !st.quarantined {
-			st.streak = 0
-			st.deferred = false
-			if st.rejuvEpochs == 0 {
-				delete(g.states, oc.id)
+			if delta := vth - prev; delta > threshold && vth > damageBar {
+				if st == nil {
+					st = &chipState{}
+					g.states[id] = st
+				}
+				if st.streak == 0 {
+					st.onsetVth = prev
+				}
+				st.streak++
+				g.alert(ctx, Alert{
+					Epoch: epoch, Kind: AlertOutlier, Chip: id, DeltaV: delta,
+					Detail: fmt.Sprintf("delta %.3g V/epoch over threshold %.3g (streak %d/%d)",
+						delta, threshold, st.streak, g.cfg.Streak),
+				})
+				if st.streak >= g.cfg.Streak {
+					g.convict(ctx, epoch, id, st, vth, r.Prev.Chips)
+				}
+			} else if st != nil {
+				st.streak = 0
+				st.deferred = false
+				if st.rejuvEpochs == 0 {
+					delete(g.states, id)
+				}
 			}
 		}
 	}
@@ -381,20 +355,58 @@ func (g *Guard) convict(ctx context.Context, epoch uint64, id string, st *chipSt
 		g.alert(ctx, Alert{Epoch: epoch, Kind: AlertRemapFailed, Chip: id, Detail: "no spare fabric wired"})
 	}
 
-	// Accelerated rejuvenation: first pin the chip back to the nominal
-	// stress condition (the attack clobbered temperature and rail —
-	// and the schedule's stress leg inherits whatever is current), then
-	// install the recovery rhythm: one nominal epoch, RejuvEpochs of
-	// hot negative-rail sleep, repeating until released.
-	g.d.Engine.SetConditionBatch(ctx, []engine.CondChange{{ID: id, Cond: engine.Cond{
-		Phase: engine.PhaseStressName, TempC: g.cfg.NominalTempC, Vdd: g.cfg.NominalVdd, Duty: 1,
-	}}})
-	g.d.Engine.SetScheduleBatch(ctx, []engine.SchedChange{{ID: id, Schedule: engine.Schedule{
-		StressEpochs: 1, SleepEpochs: g.cfg.RejuvEpochs,
-		SleepTempC: g.cfg.RejuvTempC, SleepVdd: g.cfg.RejuvVdd,
-	}}})
-	g.alert(ctx, Alert{Epoch: epoch, Kind: AlertRejuvenating, Chip: id,
-		Detail: fmt.Sprintf("%d sleep epochs at %gC/%gV per cycle", g.cfg.RejuvEpochs, g.cfg.RejuvTempC, g.cfg.RejuvVdd)})
+	g.installRhythm(ctx, epoch, id, st, g.rhythmDetail())
+}
+
+// rhythmDetail describes the rejuvenation rhythm in its alert.
+func (g *Guard) rhythmDetail() string {
+	return fmt.Sprintf("%d sleep epochs at %gC/%gV per cycle", g.cfg.RejuvEpochs, g.cfg.RejuvTempC, g.cfg.RejuvVdd)
+}
+
+// installRhythm starts a quarantined chip's accelerated rejuvenation:
+// first pin the chip back to the nominal stress condition (the attack
+// clobbered temperature and rail — and the schedule's stress leg
+// inherits whatever is current), then install the recovery rhythm: one
+// nominal epoch, RejuvEpochs of hot negative-rail sleep, repeating
+// until released. Only an install the engine accepted — journaled and
+// applied — is reported; on failure the error is logged, st.rhythm
+// stays false, and tendQuarantined retries on the chip's next epoch.
+func (g *Guard) installRhythm(ctx context.Context, epoch uint64, id string, st *chipState, detail string) {
+	err := batchErr(g.d.Engine.SetConditionBatch(ctx, []engine.CondChange{{ID: id, Cond: g.nominal()}}))
+	if err == nil {
+		err = batchErr(g.d.Engine.SetScheduleBatch(ctx, []engine.SchedChange{{ID: id, Schedule: engine.Schedule{
+			StressEpochs: 1, SleepEpochs: g.cfg.RejuvEpochs,
+			SleepTempC: g.cfg.RejuvTempC, SleepVdd: g.cfg.RejuvVdd,
+		}}}))
+	}
+	if err != nil {
+		if g.d.Log != nil {
+			g.d.Log.Error("guard: rejuvenation install failed; retrying next epoch", "chip", id, "epoch", epoch, "err", err)
+		}
+		return
+	}
+	st.rhythm = true
+	g.alert(ctx, Alert{Epoch: epoch, Kind: AlertRejuvenating, Chip: id, Detail: detail})
+}
+
+// nominal is the condition quarantine pins a chip to, and release
+// returns it to.
+func (g *Guard) nominal() engine.Cond {
+	return engine.Cond{Phase: engine.PhaseStressName, TempC: g.cfg.NominalTempC, Vdd: g.cfg.NominalVdd, Duty: 1}
+}
+
+// batchErr folds an engine batch call's error and its per-item results
+// into the first failure.
+func batchErr(res []engine.RegResult, err error) error {
+	if err != nil {
+		return err
+	}
+	for _, r := range res {
+		if r.Err != nil {
+			return r.Err
+		}
+	}
+	return nil
 }
 
 // tendQuarantined advances one quarantined chip: tracks its Vth peak,
@@ -403,6 +415,9 @@ func (g *Guard) convict(ctx context.Context, epoch uint64, id string, st *chipSt
 // recovered, or (for adopted chips whose pre-attack baseline is
 // unknown) Vth back at or below the fleet's typical damage.
 func (g *Guard) tendQuarantined(ctx context.Context, epoch uint64, id string, st *chipState, vth float64, sleeping bool, healthyBar float64) {
+	if !st.rhythm && epoch > st.quarEpoch {
+		g.installRhythm(ctx, epoch, id, st, g.rhythmDetail())
+	}
 	if vth > st.peakVth {
 		st.peakVth = vth
 	}
@@ -424,11 +439,19 @@ func (g *Guard) tendQuarantined(ctx context.Context, epoch uint64, id string, st
 	}
 
 	// Recovered: cancel the rejuvenation rhythm, pin the nominal
-	// condition, lift the quarantine.
-	g.d.Engine.SetScheduleBatch(ctx, []engine.SchedChange{{ID: id}})
-	g.d.Engine.SetConditionBatch(ctx, []engine.CondChange{{ID: id, Cond: engine.Cond{
-		Phase: engine.PhaseStressName, TempC: g.cfg.NominalTempC, Vdd: g.cfg.NominalVdd, Duty: 1,
-	}}})
+	// condition, lift the quarantine — but only once the engine took
+	// both changes; until then the chip stays held and the release is
+	// retried on its next epoch.
+	err := batchErr(g.d.Engine.SetScheduleBatch(ctx, []engine.SchedChange{{ID: id}}))
+	if err == nil {
+		err = batchErr(g.d.Engine.SetConditionBatch(ctx, []engine.CondChange{{ID: id, Cond: g.nominal()}}))
+	}
+	if err != nil {
+		if g.d.Log != nil {
+			g.d.Log.Error("guard: release failed; retrying next epoch", "chip", id, "epoch", epoch, "err", err)
+		}
+		return
+	}
 	if g.d.Fleet != nil {
 		if _, err := g.d.Fleet.Release(ctx, id); err != nil && g.d.Log != nil {
 			g.d.Log.Error("guard: fleet release failed", "chip", id, "err", err)
@@ -470,29 +493,6 @@ func (g *Guard) alert(ctx context.Context, a Alert) {
 	if g.d.Log != nil {
 		g.d.Log.Warn("guard: "+string(a.Kind), "chip", a.Chip, "epoch", a.Epoch, "detail", a.Detail)
 	}
-}
-
-// medianMAD returns the median and the raw median absolute deviation
-// of xs (which it reorders).
-func medianMAD(xs []float64) (med, mad float64) {
-	med = median(xs)
-	devs := make([]float64, len(xs))
-	for i, x := range xs {
-		devs[i] = math.Abs(x - med)
-	}
-	return med, median(devs)
-}
-
-func median(xs []float64) float64 {
-	sort.Float64s(xs)
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	if n%2 == 1 {
-		return xs[n/2]
-	}
-	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // Metrics is the guard's Prometheus-facing counter set.

@@ -59,12 +59,24 @@ type guardRig struct {
 
 func newGuardRig(t *testing.T, cfg Config, d Deps, chips int) *guardRig {
 	t.Helper()
+	return newGuardRigOn(t, store.NewMem[any](), nil, cfg, d, chips)
+}
+
+// newGuardRigOn is newGuardRig over the journal j, calling after (when
+// set) with the epoch once each epoch's guard hook returns.
+func newGuardRigOn(t *testing.T, j engine.Journal, after func(epoch uint64), cfg Config, d Deps, chips int) *guardRig {
+	t.Helper()
 	ctx := context.Background()
 	var g *Guard
-	eng, err := engine.New(store.NewMem[any](), engine.Config{
+	eng, err := engine.New(j, engine.Config{
 		EpochHours: 0.5,
 		Workers:    1,
-		OnEpoch:    func(epoch uint64, snap, prev *engine.Snapshot) { g.OnEpoch(epoch, snap, prev) },
+		OnEpoch: func(epoch uint64, snap, prev *engine.Snapshot) {
+			g.OnEpoch(epoch, engine.Reduce(snap, prev))
+			if after != nil {
+				after(epoch)
+			}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -363,5 +375,120 @@ func TestGuardLateRegistrationDelta(t *testing.T) {
 	}
 	if want := second.VthShift - first.VthShift; got[0].DeltaV != want {
 		t.Fatalf("newcomer delta %v, want %v", got[0].DeltaV, want)
+	}
+}
+
+// outageJournal is a durable engine journal whose disk fails for one
+// epoch: from the first record trip matches, every Commit is refused
+// until recover runs after that epoch's guard hook returns.
+type outageJournal struct {
+	trip     func(store.Record) bool
+	down     bool
+	tripped  bool
+	refused  int
+	outEpoch uint64 // the epoch the disk was down in
+}
+
+func (j *outageJournal) Commit(_ context.Context, rec store.Record) error {
+	if !j.tripped && j.trip(rec) {
+		j.tripped, j.down = true, true
+	}
+	if j.down {
+		j.refused++
+		return errors.New("disk down")
+	}
+	return nil
+}
+
+func (j *outageJournal) Replay() []store.Record { return nil }
+func (j *outageJournal) Durable() bool          { return true }
+
+func (j *outageJournal) recover(epoch uint64) {
+	if j.down {
+		j.down, j.outEpoch = false, epoch
+	}
+}
+
+// outageRig runs a one-shot attack on one of 16 chips over j for 60
+// epochs and returns the victim's first alert epoch of each kind.
+func outageRig(t *testing.T, j *outageJournal) (*guardRig, string, map[AlertKind]uint64) {
+	t.Helper()
+	adv, err := faults.NewAdversary(faults.AdversaryConfig{Seed: 3, Victims: 1, Start: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig := newGuardRigOn(t, j, j.recover, Config{}, Deps{Adversary: adv}, 16)
+	rig.tick(60)
+	if j.refused == 0 {
+		t.Fatal("the journal never refused a commit: the outage never happened")
+	}
+	victim := adv.Victims()[0]
+	first := map[AlertKind]uint64{}
+	for _, a := range rig.guard.Alerts(0) {
+		if e, ok := first[a.Kind]; a.Chip == victim && (!ok || a.Epoch < e) {
+			first[a.Kind] = a.Epoch
+		}
+	}
+	return rig, victim, first
+}
+
+// TestGuardRetriesRejuvenationInstall: when the engine refuses the
+// conviction's rejuvenation install (its journal is down that epoch),
+// the guard must not report the rhythm as scheduled, and must install
+// it on the chip's next epoch once the disk is back — so the chip heals
+// and is released instead of holding a budget slot with zero
+// rejuvenation epochs until the next restart.
+func TestGuardRetriesRejuvenationInstall(t *testing.T) {
+	// The outage opens at the conviction's nominal-condition pin, the
+	// first half of the install.
+	j := &outageJournal{trip: func(rec store.Record) bool {
+		return rec.Op == store.OpEngineSet && rec.TempC == Defaults.NominalTempC
+	}}
+	rig, victim, first := outageRig(t, j)
+	quar, ok := first[AlertQuarantined]
+	if !ok || quar != j.outEpoch {
+		t.Fatalf("victim %s not quarantined in the outage epoch %d; alerts %+v", victim, j.outEpoch, rig.guard.Alerts(0))
+	}
+	if rejuv := first[AlertRejuvenating]; rejuv <= quar {
+		t.Fatalf("rejuvenation reported at epoch %d although the install at conviction (epoch %d) was refused", rejuv, quar)
+	}
+	m := rig.guard.MetricsSnapshot()
+	if _, released := first[AlertReleased]; !released || m.QuarantinedChips != 0 || m.RejuvenationEpochsTotal == 0 {
+		t.Fatalf("victim stranded in quarantine after the outage: metrics %+v", m)
+	}
+}
+
+// TestGuardRetriesRelease: when the engine refuses a recovered chip's
+// release (the rhythm's cancellation), the guard must keep holding the
+// chip and release it on a later epoch, once the engine has cancelled
+// the rhythm — not release it with the hot negative-rail sleep cycle
+// still installed.
+func TestGuardRetriesRelease(t *testing.T) {
+	// The outage opens at the first schedule cancellation after a
+	// rejuvenation rhythm went in: the release's first step.
+	installed := false
+	j := &outageJournal{trip: func(rec store.Record) bool {
+		if rec.Op != store.OpEngineSchedule {
+			return false
+		}
+		if rec.SleepEpochs > 0 {
+			installed = true
+		}
+		return installed && rec.SleepEpochs == 0
+	}}
+	rig, victim, first := outageRig(t, j)
+	rel, ok := first[AlertReleased]
+	if !ok || rel <= j.outEpoch {
+		t.Fatalf("victim %s released at epoch %d (ok %v) although the release in epoch %d was refused", victim, rel, ok, j.outEpoch)
+	}
+	if m := rig.guard.MetricsSnapshot(); m.QuarantinedChips != 0 || m.ReleasesTotal != 1 {
+		t.Fatalf("release lifecycle metrics: %+v", m)
+	}
+	// Released for real: the rhythm is gone, so the chip stays awake.
+	for i := 0; i < 10; i++ {
+		rig.tick(1)
+		if cv, _ := rig.eng.Snapshot().Chip(victim); cv.Phase != engine.PhaseStressName {
+			t.Fatalf("released victim %s back in phase %q at epoch %d", victim, cv.Phase, cv.Epoch)
+		}
 	}
 }

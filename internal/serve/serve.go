@@ -280,18 +280,8 @@ func New(cfg Config) (*Server, error) {
 			Tracer:     s.tracer,
 		}
 		// The hook reads s.aging and s.guard, wired below before the
-		// wall-clock ticker starts (Start, last in New). The guard runs
-		// first (a nil guard is inert) — the telemetry recorder then
-		// sees the epoch's quarantine decisions.
-		var replStats func() *repl.Stats
-		if cfg.Cluster != nil {
-			replStats = cfg.Cluster.ReplStats
-		}
-		ecfg.OnEpoch = func(epoch uint64, snap, prev *engine.Snapshot) {
-			s.guard.OnEpoch(epoch, snap, prev)
-			mut, errs := s.metrics.mutationCounts()
-			s.telem.record(epoch, snap, prev, s.aging, s.guard, replStats, mut, errs)
-		}
+		// wall-clock ticker starts (Start, last in New).
+		ecfg.OnEpoch = s.onEpoch
 		aging, err := engine.New(st, ecfg)
 		if err != nil {
 			return nil, err
@@ -335,6 +325,21 @@ func New(cfg Config) (*Server, error) {
 		s.aging.Start()
 	}
 	return s, nil
+}
+
+// onEpoch is the engine's per-epoch hook: the epoch's fleet is reduced
+// once (engine.Reduce) and both consumers read that one reduction. The
+// guard runs first (a nil guard is inert) — the telemetry recorder then
+// sees the epoch's quarantine decisions.
+func (s *Server) onEpoch(epoch uint64, snap, prev *engine.Snapshot) {
+	r := engine.Reduce(snap, prev)
+	s.guard.OnEpoch(epoch, r)
+	var replStats func() *repl.Stats
+	if s.cfg.Cluster != nil {
+		replStats = s.cfg.Cluster.ReplStats
+	}
+	mut, errs := s.metrics.mutationCounts()
+	s.telem.record(epoch, r, s.aging, s.guard, replStats, mut, errs)
 }
 
 // Fleet returns the domain service (exported for tests and for

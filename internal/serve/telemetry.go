@@ -1,10 +1,8 @@
 package serve
 
 import (
-	"math"
 	"net/http"
 	"net/url"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -36,48 +34,29 @@ func newTelemetry(capacity int, slo *sloMonitor) *telemetry {
 	return &telemetry{db: tsdb.New(capacity), slo: slo}
 }
 
-// record reduces one epoch; prev is the previous tick's snapshot (nil
-// on the engine's first tick), the baseline for aging rates. gd is nil
-// without the guard and replStats nil outside cluster mode.
-func (t *telemetry) record(epoch uint64, snap, prev *engine.Snapshot, aging *engine.Engine, gd *guard.Guard, replStats func() *repl.Stats, mutTotal, mutErrs uint64) {
+// record appends one epoch from its engine.Reduction: the margin
+// distribution (margin = −Vth, the guard band still unconsumed) and the
+// aging-rate distribution (per-chip ΔVth since the previous tick's
+// snapshot; none on the engine's first tick). gd is nil without the
+// guard and replStats nil outside cluster mode.
+func (t *telemetry) record(epoch uint64, r *engine.Reduction, aging *engine.Engine, gd *guard.Guard, replStats func() *repl.Stats, mutTotal, mutErrs uint64) {
 	db := t.db
-
-	// Margin distribution. Margin is the guard band still unconsumed,
-	// the negated Vth shift: the most-aged chip has the minimum margin.
-	var margins []float64
-	for pi := range snap.Parts {
-		for _, vth := range snap.Parts[pi].Vth {
-			margins = append(margins, -vth)
-		}
-	}
-	if len(margins) > 0 {
-		sort.Float64s(margins)
-		db.Append("margin_min_v", epoch, margins[0])
-		db.Append("margin_p50_v", epoch, percentile(margins, 0.50))
-		db.Append("margin_p95_v", epoch, percentile(margins, 0.95))
+	if r.Snap.Chips > 0 {
+		db.Append("margin_min_v", epoch, r.MarginMin)
+		db.Append("margin_p50_v", epoch, r.MarginP50)
+		db.Append("margin_p95_v", epoch, r.MarginP95)
 	}
 
-	// Aging-rate distribution: per-chip ΔVth since the previous epoch.
-	rates := make([]float64, 0, snap.Chips)
-	for pi := range snap.Parts {
-		prevVth := snap.PrevVth(prev, pi)
-		for i, vth := range snap.Parts[pi].Vth {
-			if p := prevVth[i]; !math.IsNaN(p) {
-				rates = append(rates, vth-p)
-			}
-		}
-	}
 	t.mu.Lock()
 	seeded := t.seeded
 	dMut, dErr := mutTotal-t.mutPrev, mutErrs-t.errPrev
 	t.mutPrev, t.errPrev = mutTotal, mutErrs
 	t.seeded = true
 	t.mu.Unlock()
-	if len(rates) > 0 {
-		sort.Float64s(rates)
-		db.Append("aging_rate_p50_v", epoch, percentile(rates, 0.50))
-		db.Append("aging_rate_p95_v", epoch, percentile(rates, 0.95))
-		db.Append("aging_rate_max_v", epoch, rates[len(rates)-1])
+	if r.Deltas > 0 {
+		db.Append("aging_rate_p50_v", epoch, r.DeltaP50)
+		db.Append("aging_rate_p95_v", epoch, r.DeltaP95)
+		db.Append("aging_rate_max_v", epoch, r.DeltaMax)
 	}
 
 	// Mutation throughput: per-epoch deltas of the mutating-route
@@ -112,15 +91,6 @@ func (t *telemetry) record(epoch uint64, snap, prev *engine.Snapshot, aging *eng
 	}
 
 	t.slo.evaluate(epoch, db)
-}
-
-// percentile returns the nearest-rank percentile of a sorted slice.
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(p * float64(len(sorted)-1))
-	return sorted[i]
 }
 
 // TelemetryResponse is the GET /v1/telemetry body — one node's
