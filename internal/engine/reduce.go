@@ -31,18 +31,26 @@ type Reduction struct {
 	DeltaP50, DeltaP95, DeltaMax float64
 }
 
+// Reducer reduces one epoch at a time, keeping its scratch array for
+// the next epoch. The zero value is ready; it is not safe for
+// concurrent use.
+type Reducer struct{ buf []float64 }
+
 // Reduce flattens snap's Vth and its deltas against prev (the previous
-// tick's snapshot, nil on the first) into one scratch array and takes
+// tick's snapshot, nil on the first) into the scratch array and takes
 // every order statistic by selection, so one epoch costs a few linear
-// passes over the fleet rather than a sort per statistic per hook.
-func Reduce(snap, prev *Snapshot) *Reduction {
+// passes over the fleet rather than a sort per statistic per hook. The
+// Reduction does not point into the scratch array.
+func (rd *Reducer) Reduce(snap, prev *Snapshot) *Reduction {
 	r := &Reduction{Snap: snap, Prev: prev}
 	n := 0
 	for pi := range snap.Parts {
 		n += len(snap.Parts[pi].Vth)
 	}
-	buf := make([]float64, 2*n)
-	vth, deltas := buf[:0:n], buf[n:n]
+	if cap(rd.buf) < 2*n {
+		rd.buf = make([]float64, 2*n)
+	}
+	vth, deltas := rd.buf[:0:n], rd.buf[n:n]
 	nan := 0 // NaN shifts: they rank first in both Vth and margin order
 	for pi := range snap.Parts {
 		cur, old := snap.Parts[pi].Vth, snap.PrevVth(prev, pi)

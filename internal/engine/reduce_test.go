@@ -63,6 +63,7 @@ func TestReduceMatchesNegateThenSort(t *testing.T) {
 	}
 	at := func(sorted []float64, p float64) float64 { return sorted[int(p*float64(len(sorted)-1))] }
 
+	var rd Reducer // one scratch array across trials of every size
 	for trial := 0; trial < 600; trial++ {
 		n := trial % 70
 		cur, old := make([]float64, n), make([]float64, n)
@@ -75,7 +76,7 @@ func TestReduceMatchesNegateThenSort(t *testing.T) {
 		}
 		prev := partsSnapshot(old, ids)
 		snap := partsSnapshot(cur, ids)
-		r := Reduce(snap, prev)
+		r := rd.Reduce(snap, prev)
 
 		// The reference, in Reduce's flattening order.
 		var vth, margins, deltas []float64

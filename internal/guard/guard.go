@@ -115,18 +115,15 @@ func (g *Guard) Reconfigure(cfg Config) error {
 // red-team actions are applied first (the attack plays this epoch),
 // then the monitor judges each chip's Vth delta since r.Prev — the
 // previous tick's snapshot, nil on the engine's first tick — against
-// the fleet baseline, and the responder reacts. A nil guard is inert,
-// and stale or repeated epochs are ignored, so concurrent Tick callers
-// cannot double-apply an epoch.
+// the fleet baseline, and the responder reacts. A nil guard is inert.
+// Epochs must arrive in increasing order: serve's epoch hook drops the
+// stale ones racing manual ticks produce before they get here.
 func (g *Guard) OnEpoch(epoch uint64, r *engine.Reduction) {
 	if g == nil || r == nil {
 		return
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if epoch <= g.lastEpoch && g.lastEpoch != 0 {
-		return
-	}
 	g.lastEpoch = epoch
 
 	ctx := context.Background()

@@ -68,11 +68,12 @@ func newGuardRigOn(t *testing.T, j engine.Journal, after func(epoch uint64), cfg
 	t.Helper()
 	ctx := context.Background()
 	var g *Guard
+	var rd engine.Reducer
 	eng, err := engine.New(j, engine.Config{
 		EpochHours: 0.5,
 		Workers:    1,
 		OnEpoch: func(epoch uint64, snap, prev *engine.Snapshot) {
-			g.OnEpoch(epoch, engine.Reduce(snap, prev))
+			g.OnEpoch(epoch, rd.Reduce(snap, prev))
 			if after != nil {
 				after(epoch)
 			}

@@ -61,6 +61,18 @@ func (p *PromWriter) Sample(name string, labels []Label, v float64) {
 	p.writeString(sb.String())
 }
 
+// Histogram emits one series of a histogram family: a _bucket sample
+// per bucket, with le as the last label, then _sum and _count.
+func (p *PromWriter) Histogram(name string, labels []Label, h HistogramSnapshot) {
+	le := append(labels[:len(labels):len(labels)], Label{Name: "le"})
+	for _, b := range h.Buckets {
+		le[len(labels)].Value = b.LE
+		p.Sample(name+"_bucket", le, float64(b.Count))
+	}
+	p.Sample(name+"_sum", labels, h.SumSeconds)
+	p.Sample(name+"_count", labels, float64(h.Count))
+}
+
 // FormatPromValue renders a float the way the exposition format wants:
 // "+Inf"/"-Inf"/"NaN" specials, shortest round-trip decimal otherwise.
 func FormatPromValue(v float64) string {

@@ -11,8 +11,17 @@ import (
 	"sync/atomic"
 	"time"
 
+	"selfheal/internal/obs"
 	"selfheal/internal/store"
 )
+
+// ackWaitBounds are the semisync follower-ack latency histogram's
+// bucket upper bounds in seconds, sized for LAN round trips: the fast
+// path (follower already acked when Append checks) lands in the first
+// bucket, a healthy same-rack ack within a few, and anything in the
+// tail buckets means the follower is struggling long before the
+// AckTimeout counter fires.
+var ackWaitBounds = []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.5}
 
 // Mode selects the primary's acknowledgement contract.
 type Mode string
@@ -106,7 +115,7 @@ type Primary struct {
 
 	lastCommitted atomic.Uint64 // newest locally durable seq (from onCommit)
 
-	ackWait ackHist // semisync follower-ack wait latency
+	ackWait *obs.Histogram // semisync follower-ack wait latency
 
 	framesSent    atomic.Uint64
 	recordsSent   atomic.Uint64
@@ -152,10 +161,11 @@ func NewPrimary(inner Journal, cfg PrimaryConfig) *Primary {
 		cfg.Logger = slog.Default()
 	}
 	p := &Primary{
-		inner: inner,
-		cfg:   cfg,
-		log:   cfg.Logger.With("component", "repl", "role", "primary"),
-		conns: make(map[*pconn]struct{}),
+		inner:   inner,
+		cfg:     cfg,
+		log:     cfg.Logger.With("component", "repl", "role", "primary"),
+		conns:   make(map[*pconn]struct{}),
+		ackWait: obs.NewHistogram(ackWaitBounds...),
 	}
 	p.lastCommitted.Store(inner.Stats().LastSeq)
 	inner.SetOnCommit(p.onCommit)
@@ -210,7 +220,7 @@ func (p *Primary) Append(ctx context.Context, rec store.Record) error {
 		if err := p.waitAcked(p.lastCommitted.Load()); err != nil {
 			return fmt.Errorf("repl: mutation durable locally but replication unconfirmed: %w", err)
 		}
-		p.ackWait.observe(time.Since(start))
+		p.ackWait.Observe(time.Since(start))
 	}
 	return nil
 }
@@ -502,7 +512,8 @@ func (p *Primary) ReplStats() *Stats {
 		st.LagRecords = last - acked
 	}
 	if p.cfg.Mode == ModeSemiSync {
-		st.AckWait = p.ackWait.snapshot()
+		aw := p.ackWait.Snapshot()
+		st.AckWait = &aw
 	}
 	return st
 }
@@ -551,7 +562,7 @@ type Stats struct {
 	PrimaryAddr    string `json:"primary_addr,omitempty"`
 	// AckWait is the semisync primary's follower-ack latency histogram
 	// (nil for async primaries and followers).
-	AckWait *HistStats `json:"ack_wait,omitempty"`
+	AckWait *obs.HistogramSnapshot `json:"ack_wait,omitempty"`
 	// LastTraceID is the follower's view of the newest traced batch it
 	// applied — the replication end of a distributed trace.
 	LastTraceID string `json:"last_trace_id,omitempty"`

@@ -195,15 +195,19 @@ func writePromFederated(buf *bytes.Buffer, fleet FleetTelemetryResponse) {
 		}
 		p.Sample("telemetry_federate_stale", []obs.Label{{Name: "node", Value: nt.NodeID}}, stale)
 	}
+	// Each family's samples follow its own header: the text format
+	// allows one contiguous group per family.
 	p.Header("telemetry_last_sample_age_seconds", "Age of the node's newest telemetry sample.", "gauge")
+	for _, nt := range fleet.Nodes {
+		if nt.Telemetry != nil {
+			p.Sample("telemetry_last_sample_age_seconds", []obs.Label{{Name: "node", Value: nt.NodeID}}, nt.AgeSeconds)
+		}
+	}
 	p.Header("telemetry_last_epoch", "The node's newest recorded epoch.", "gauge")
 	for _, nt := range fleet.Nodes {
-		if nt.Telemetry == nil {
-			continue
+		if nt.Telemetry != nil {
+			p.Sample("telemetry_last_epoch", []obs.Label{{Name: "node", Value: nt.NodeID}}, float64(nt.Telemetry.Epoch))
 		}
-		node := []obs.Label{{Name: "node", Value: nt.NodeID}}
-		p.Sample("telemetry_last_sample_age_seconds", node, nt.AgeSeconds)
-		p.Sample("telemetry_last_epoch", node, float64(nt.Telemetry.Epoch))
 	}
 
 	// One gauge per series name, node-labelled, newest value. Series

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"math"
 	"sort"
+	"sync"
 	"testing"
 
 	"selfheal/internal/engine"
@@ -19,7 +20,7 @@ import (
 )
 
 // sortedReduction is the reference the equivalence test holds
-// engine.Reduce to: the sort-based reductions the two hooks ran before
+// engine.Reducer to: the sort-based reductions the two hooks ran before
 // they shared one — the guard's median and raw MAD of sorted deltas and
 // median of sorted Vth, the recorder's negate-then-sort margins and
 // sorted aging rates read at nearest rank — filled into a Reduction.
@@ -174,15 +175,16 @@ func (a *hookArena) register(t *testing.T, specs ...engine.Spec) {
 // TestEpochHooksMatchSortedReductions runs two identical seeded arenas
 // — five-way mix, one duty toggle per epoch, an adversary opening at
 // epoch 6, a remove+register that leaves an odd fleet mid-run — one
-// fed by engine.Reduce and one by the sort-based reference, and holds
+// fed by one engine.Reducer and one by the sort-based reference, and holds
 // every published statistic, the retained guard alerts, the guard
 // metrics and every telemetry series to bit-for-bit equality. Only the
 // wall-clock series (tick_seconds, epoch_lag_seconds) are left out.
 func TestEpochHooksMatchSortedReductions(t *testing.T) {
 	const chips, epochs, churnAt = 4000, 240, 120
 	var diffs []string
+	var rd engine.Reducer
 	selected := newHookArena(t, func(snap, prev *engine.Snapshot) *engine.Reduction {
-		r := engine.Reduce(snap, prev)
+		r := rd.Reduce(snap, prev)
 		if d := reductionDiff(r, sortedReduction(snap, prev)); d != "" && len(diffs) < 5 {
 			diffs = append(diffs, fmt.Sprintf("epoch %d: %s", snap.Epoch, d))
 		}
@@ -210,7 +212,7 @@ func TestEpochHooksMatchSortedReductions(t *testing.T) {
 		}
 	}
 	if len(diffs) > 0 {
-		t.Fatalf("engine.Reduce differs from the sorted reference:\n%v", diffs)
+		t.Fatalf("engine.Reducer differs from the sorted reference:\n%v", diffs)
 	}
 
 	alertsA, alertsB := selected.guard.Alerts(0), sorted.guard.Alerts(0)
@@ -249,6 +251,49 @@ func TestEpochHooksMatchSortedReductions(t *testing.T) {
 		for i := range a {
 			if a[i].Epoch != b[i].Epoch || math.Float64bits(a[i].Value) != math.Float64bits(b[i].Value) {
 				t.Fatalf("series %s sample %d: %+v vs %+v", name, i, a[i], b[i])
+			}
+		}
+	}
+}
+
+// TestRacingTicksKeepEpochOrder races manual ticks. onEpoch runs one
+// epoch at a time and drops any epoch no newer than the last it hooked,
+// so every telemetry series holds strictly increasing epochs.
+func TestRacingTicksKeepEpochOrder(t *testing.T) {
+	s, err := New(Config{EngineEnabled: true, EngineEpoch: -1, GuardEnabled: true,
+		Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	ctx := context.Background()
+	specs := make([]engine.Spec, 200)
+	for i := range specs {
+		specs[i] = arenaSpec(i)
+	}
+	if _, err := s.aging.RegisterBatch(ctx, specs); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				s.aging.Tick(ctx)
+			}
+		}()
+	}
+	wg.Wait()
+	names := s.telem.db.Names()
+	if len(names) == 0 {
+		t.Fatal("no telemetry recorded")
+	}
+	for _, name := range names {
+		samples := s.telem.db.Select(name, tsdb.Query{})
+		for i := 1; i < len(samples); i++ {
+			if samples[i].Epoch <= samples[i-1].Epoch {
+				t.Fatalf("%s: epoch %d recorded after %d", name, samples[i].Epoch, samples[i-1].Epoch)
 			}
 		}
 	}

@@ -10,26 +10,15 @@ import (
 	"selfheal/internal/faults"
 	"selfheal/internal/fleet"
 	"selfheal/internal/guard"
+	"selfheal/internal/obs"
 )
 
-// latencyBounds are the histogram bucket upper bounds in seconds; a
-// final implicit +Inf bucket catches the rest.
+// latencyBounds are the request-latency histograms' bucket upper
+// bounds in seconds; a final implicit +Inf bucket catches the rest.
 var latencyBounds = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10}
 
-// latencyLabels are the bucket bounds pre-rendered as the "le" label
-// strings (the final entry is "+Inf"), so Snapshot — which runs under
-// m.mu and is hit by every scrape — formats nothing.
-var latencyLabels = func() []string {
-	labels := make([]string, len(latencyBounds)+1)
-	for i, b := range latencyBounds {
-		labels[i] = strconv.FormatFloat(b, 'g', -1, 64)
-	}
-	labels[len(latencyBounds)] = "+Inf"
-	return labels
-}()
-
 // Metrics is the service's expvar-style instrumentation: request and
-// status counts per route, a latency histogram, and (via snapshots
+// status counts per route, latency histograms, and (via snapshots
 // taken at read time) cache and per-chip usage numbers. Plain JSON on
 // GET /metrics, standard library only.
 type Metrics struct {
@@ -42,14 +31,12 @@ type Metrics struct {
 
 	mu      sync.Mutex
 	routes  map[string]*routeStats
-	latency []uint64 // len(latencyBounds)+1 counters; last is +Inf
+	latency *obs.Histogram // every route's requests
 }
 
 type routeStats struct {
-	count      uint64
-	byStatus   map[int]uint64
-	latency    []uint64 // per-route histogram; same bounds as the global one
-	latencySum float64  // total seconds observed, for rate/mean queries
+	byStatus map[int]uint64
+	latency  *obs.Histogram
 }
 
 // NewMetrics starts the clock.
@@ -57,34 +44,22 @@ func NewMetrics() *Metrics {
 	return &Metrics{
 		start:   time.Now(),
 		routes:  make(map[string]*routeStats),
-		latency: make([]uint64, len(latencyBounds)+1),
+		latency: obs.NewHistogram(latencyBounds...),
 	}
 }
 
 // Observe records one served request.
 func (m *Metrics) Observe(route string, status int, elapsed time.Duration) {
-	bucket := len(latencyBounds)
-	for i, le := range latencyBounds {
-		if elapsed.Seconds() <= le {
-			bucket = i
-			break
-		}
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	rs, ok := m.routes[route]
 	if !ok {
-		rs = &routeStats{
-			byStatus: make(map[int]uint64),
-			latency:  make([]uint64, len(latencyBounds)+1),
-		}
+		rs = &routeStats{byStatus: make(map[int]uint64), latency: obs.NewHistogram(latencyBounds...)}
 		m.routes[route] = rs
 	}
-	rs.count++
 	rs.byStatus[status]++
-	rs.latency[bucket]++
-	rs.latencySum += elapsed.Seconds()
-	m.latency[bucket]++
+	rs.latency.Observe(elapsed)
+	m.latency.Observe(elapsed)
 }
 
 // RecordPanic counts one recovered handler panic.
@@ -110,8 +85,8 @@ func (m *Metrics) mutationCounts() (total, errors uint64) {
 		if !mutatingRoutes[route] {
 			continue
 		}
-		total += rs.count
 		for status, n := range rs.byStatus {
+			total += n
 			if status >= 500 {
 				errors += n
 			}
@@ -124,23 +99,6 @@ func (m *Metrics) mutationCounts() (total, errors uint64) {
 type RouteSnapshot struct {
 	Count    uint64            `json:"count"`
 	ByStatus map[string]uint64 `json:"by_status"`
-}
-
-// LatencyBucket is one cumulative histogram bucket ("le" = upper bound
-// in seconds, "+Inf" for the overflow bucket).
-type LatencyBucket struct {
-	Le    string `json:"le"`
-	Count uint64 `json:"count"`
-}
-
-// RouteLatency is one route's latency histogram in a MetricsSnapshot:
-// cumulative buckets over the same bounds as the global histogram,
-// plus the observation count and the summed seconds (so mean latency
-// is SumSeconds/Count).
-type RouteLatency struct {
-	Buckets    []LatencyBucket `json:"buckets"`
-	Count      uint64          `json:"count"`
-	SumSeconds float64         `json:"sum_seconds"`
 }
 
 // CacheSnapshot reports the prediction memo cache.
@@ -219,22 +177,22 @@ type TelemetryMetrics struct {
 
 // MetricsSnapshot is the GET /metrics body.
 type MetricsSnapshot struct {
-	UptimeSeconds   float64                  `json:"uptime_seconds"`
-	Requests        map[string]RouteSnapshot `json:"requests"`
-	LatencySeconds  []LatencyBucket          `json:"latency_seconds"`
-	LatencyByRoute  map[string]RouteLatency  `json:"latency_by_route"`
-	Cache           CacheSnapshot            `json:"cache"`
-	Chips           map[string]ChipUsage     `json:"chips"`
-	PanicsRecovered uint64                   `json:"panics_recovered"`
-	RequestsShed    uint64                   `json:"requests_shed"`
-	RequestTimeouts uint64                   `json:"request_timeouts"`
-	Journal         *JournalSnapshot         `json:"journal,omitempty"`
-	Degraded        *DegradedSnapshot        `json:"degraded,omitempty"`
-	Faults          *faults.Stats            `json:"faults,omitempty"`
-	Engine          *EngineMetrics           `json:"engine,omitempty"`
-	Guard           *GuardMetrics            `json:"guard,omitempty"`
-	Cluster         *ClusterMetrics          `json:"cluster,omitempty"`
-	Telemetry       *TelemetryMetrics        `json:"telemetry,omitempty"`
+	UptimeSeconds   float64                          `json:"uptime_seconds"`
+	Requests        map[string]RouteSnapshot         `json:"requests"`
+	LatencySeconds  []obs.Bucket                     `json:"latency_seconds"`
+	LatencyByRoute  map[string]obs.HistogramSnapshot `json:"latency_by_route"`
+	Cache           CacheSnapshot                    `json:"cache"`
+	Chips           map[string]ChipUsage             `json:"chips"`
+	PanicsRecovered uint64                           `json:"panics_recovered"`
+	RequestsShed    uint64                           `json:"requests_shed"`
+	RequestTimeouts uint64                           `json:"request_timeouts"`
+	Journal         *JournalSnapshot                 `json:"journal,omitempty"`
+	Degraded        *DegradedSnapshot                `json:"degraded,omitempty"`
+	Faults          *faults.Stats                    `json:"faults,omitempty"`
+	Engine          *EngineMetrics                   `json:"engine,omitempty"`
+	Guard           *GuardMetrics                    `json:"guard,omitempty"`
+	Cluster         *ClusterMetrics                  `json:"cluster,omitempty"`
+	Telemetry       *TelemetryMetrics                `json:"telemetry,omitempty"`
 }
 
 // guardMetrics assembles the guard section: counters from the guard,
@@ -309,31 +267,16 @@ func (m *Metrics) Snapshot(predict *Predictor, fl *fleet.Service, inj *faults.In
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	snap.Requests = make(map[string]RouteSnapshot, len(m.routes))
-	snap.LatencyByRoute = make(map[string]RouteLatency, len(m.routes))
+	snap.LatencyByRoute = make(map[string]obs.HistogramSnapshot, len(m.routes))
 	for route, rs := range m.routes {
 		byStatus := make(map[string]uint64, len(rs.byStatus))
 		for status, n := range rs.byStatus {
 			byStatus[strconv.Itoa(status)] = n
 		}
-		snap.Requests[route] = RouteSnapshot{Count: rs.count, ByStatus: byStatus}
-		snap.LatencyByRoute[route] = RouteLatency{
-			Buckets:    cumulativeBuckets(rs.latency),
-			Count:      rs.count,
-			SumSeconds: rs.latencySum,
-		}
+		lat := rs.latency.Snapshot()
+		snap.Requests[route] = RouteSnapshot{Count: lat.Count, ByStatus: byStatus}
+		snap.LatencyByRoute[route] = lat
 	}
-	snap.LatencySeconds = cumulativeBuckets(m.latency)
+	snap.LatencySeconds = m.latency.Snapshot().Buckets
 	return snap
-}
-
-// cumulativeBuckets renders one histogram's raw counters as cumulative
-// labelled buckets (the last is "+Inf" and equals the total count).
-func cumulativeBuckets(counts []uint64) []LatencyBucket {
-	out := make([]LatencyBucket, len(counts))
-	var cum uint64
-	for i, n := range counts {
-		cum += n
-		out[i] = LatencyBucket{Le: latencyLabels[i], Count: cum}
-	}
-	return out
 }

@@ -174,7 +174,7 @@ func TestBatchTraceAndPromExposition(t *testing.T) {
 	if !ok || rl.Count == 0 {
 		t.Fatalf("latency_by_route missing batch route: %+v", snap.LatencyByRoute)
 	}
-	if got := rl.Buckets[len(rl.Buckets)-1]; got.Le != "+Inf" || got.Count != rl.Count {
+	if got := rl.Buckets[len(rl.Buckets)-1]; got.LE != "+Inf" || got.Count != rl.Count {
 		t.Errorf("final bucket = %+v, want le=+Inf count=%d", got, rl.Count)
 	}
 
@@ -185,26 +185,47 @@ func TestBatchTraceAndPromExposition(t *testing.T) {
 	}
 }
 
-// checkPromExposition validates every line is a comment or a
-// `name{labels} value` sample parseable by the text-format rules.
+// checkPromExposition validates the text format: every line is a
+// HELP/TYPE comment or a `name{labels} value` sample with a parseable
+// value; each family's lines form one contiguous group with at most one
+// TYPE line, which precedes the family's samples (a histogram's
+// _bucket/_sum/_count samples belong to its family).
 func checkPromExposition(t *testing.T, text string) {
 	t.Helper()
 	typed := make(map[string]string)
+	closed := make(map[string]bool) // families whose group has ended
+	current := ""
+	enter := func(i int, family string) {
+		if family == current {
+			return
+		}
+		if closed[family] {
+			t.Errorf("line %d: family %s resumes after another family's lines", i+1, family)
+		}
+		closed[current] = true
+		current = family
+	}
 	for i, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
 		if line == "" {
 			t.Errorf("line %d: empty line in exposition", i+1)
 			continue
 		}
-		if strings.HasPrefix(line, "# TYPE ") {
+		if strings.HasPrefix(line, "#") {
 			parts := strings.Fields(line)
-			if len(parts) != 4 {
-				t.Errorf("line %d: malformed TYPE comment %q", i+1, line)
+			if len(parts) < 3 || (parts[1] != "HELP" && parts[1] != "TYPE") {
+				t.Errorf("line %d: unexpected comment %q", i+1, line)
 				continue
 			}
-			typed[parts[2]] = parts[3]
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
+			enter(i, parts[2])
+			if parts[1] == "TYPE" {
+				if len(parts) != 4 {
+					t.Errorf("line %d: malformed TYPE comment %q", i+1, line)
+				} else if _, dup := typed[parts[2]]; dup {
+					t.Errorf("line %d: second TYPE line for %s", i+1, parts[2])
+				} else {
+					typed[parts[2]] = parts[3]
+				}
+			}
 			continue
 		}
 		// Label values may contain spaces ("POST /v1/ops:batch"), so the
@@ -221,13 +242,15 @@ func checkPromExposition(t *testing.T, text string) {
 		} else {
 			name, rest, _ = strings.Cut(line, " ")
 		}
-		family := strings.TrimSuffix(strings.TrimSuffix(strings.TrimSuffix(name,
-			"_bucket"), "_sum"), "_count")
-		if _, ok := typed[family]; !ok {
-			if _, ok := typed[name]; !ok {
+		family := name
+		if _, ok := typed[name]; !ok {
+			family = strings.TrimSuffix(strings.TrimSuffix(strings.TrimSuffix(name,
+				"_bucket"), "_sum"), "_count")
+			if typed[family] != "histogram" {
 				t.Errorf("line %d: sample %q has no preceding TYPE", i+1, name)
 			}
 		}
+		enter(i, family)
 		var v float64
 		if _, err := fmt.Sscanf(rest, "%g", &v); err != nil && rest != "+Inf" {
 			t.Errorf("line %d: unparseable value %q", i+1, rest)

@@ -80,19 +80,9 @@ func writeProm(buf *bytes.Buffer, snap MetricsSnapshot, chipLimit int) {
 
 	p.Header("selfheal_request_duration_seconds", "Request latency, by route pattern.", "histogram")
 	for _, route := range routes {
-		rl, ok := snap.LatencyByRoute[route]
-		if !ok {
-			continue
+		if rl, ok := snap.LatencyByRoute[route]; ok {
+			p.Histogram("selfheal_request_duration_seconds", []obs.Label{{Name: "route", Value: route}}, rl)
 		}
-		for _, b := range rl.Buckets {
-			p.Sample("selfheal_request_duration_seconds_bucket",
-				[]obs.Label{{Name: "route", Value: route}, {Name: "le", Value: b.Le}},
-				float64(b.Count))
-		}
-		p.Sample("selfheal_request_duration_seconds_sum",
-			[]obs.Label{{Name: "route", Value: route}}, rl.SumSeconds)
-		p.Sample("selfheal_request_duration_seconds_count",
-			[]obs.Label{{Name: "route", Value: route}}, float64(rl.Count))
 	}
 
 	for _, c := range []struct {
@@ -265,12 +255,7 @@ func writePromCluster(p *obs.PromWriter, c *ClusterMetrics) {
 	// bucketed for LAN round trips.
 	if h := r.AckWait; h != nil {
 		p.Header("repl_ack_wait_seconds", "Semisync follower-ack wait per acknowledged mutation.", "histogram")
-		for _, b := range h.Buckets {
-			p.Sample("repl_ack_wait_seconds_bucket",
-				append([]obs.Label{{Name: "le", Value: b.LE}}, role...), float64(b.Count))
-		}
-		p.Sample("repl_ack_wait_seconds_sum", role, h.SumSeconds)
-		p.Sample("repl_ack_wait_seconds_count", role, float64(h.Count))
+		p.Histogram("repl_ack_wait_seconds", role, *h)
 	}
 }
 

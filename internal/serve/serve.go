@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"selfheal/internal/engine"
@@ -203,6 +204,10 @@ type Server struct {
 	telem   *telemetry
 	sem     chan struct{}
 	handler http.Handler
+
+	hookMu  sync.Mutex     // serializes onEpoch; taken before every lock the hooks take
+	hooked  uint64         // newest epoch onEpoch ran for
+	reducer engine.Reducer // onEpoch's scratch, reused across epochs
 }
 
 // New assembles a server from the configuration. When a durable store
@@ -328,11 +333,19 @@ func New(cfg Config) (*Server, error) {
 }
 
 // onEpoch is the engine's per-epoch hook: the epoch's fleet is reduced
-// once (engine.Reduce) and both consumers read that one reduction. The
-// guard runs first (a nil guard is inert) — the telemetry recorder then
-// sees the epoch's quarantine decisions.
+// once and both consumers read that one reduction. The guard runs first
+// (a nil guard is inert) — the telemetry recorder then sees the epoch's
+// quarantine decisions. Racing manual ticks call it concurrently, so
+// calls run one at a time and an epoch no newer than the last one
+// hooked is dropped: the guard and the TSDB see epochs in order.
 func (s *Server) onEpoch(epoch uint64, snap, prev *engine.Snapshot) {
-	r := engine.Reduce(snap, prev)
+	s.hookMu.Lock()
+	defer s.hookMu.Unlock()
+	if epoch <= s.hooked {
+		return
+	}
+	s.hooked = epoch
+	r := s.reducer.Reduce(snap, prev)
 	s.guard.OnEpoch(epoch, r)
 	var replStats func() *repl.Stats
 	if s.cfg.Cluster != nil {

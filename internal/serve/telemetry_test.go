@@ -222,6 +222,7 @@ func TestFleetTelemetryFederation(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	text := string(body)
+	checkPromExposition(t, text)
 	for _, want := range []string{
 		`telemetry_federate_up{node="a"} 1`,
 		`telemetry_federate_up{node="b"} 0`,

@@ -23,19 +23,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"selfheal/client"
+	"selfheal/scripts/internal/harness"
 )
 
 const (
@@ -46,74 +44,22 @@ const (
 	httpDeadline = 120 * time.Second
 )
 
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "cluster-smoke: FAIL: "+format+"\n", args...)
-	os.Exit(1)
-}
-
-func freePort() string {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fatalf("reserve port: %v", err)
-	}
-	defer l.Close()
-	return l.Addr().String()
-}
-
-var hc = &http.Client{Timeout: httpDeadline}
-
-func get(url string) (int, []byte) {
-	resp, err := hc.Get(url)
-	if err != nil {
-		return 0, []byte(err.Error())
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	return resp.StatusCode, raw
-}
-
-func post(url, body string) (int, []byte) {
-	resp, err := hc.Post(url, "application/json", strings.NewReader(body))
-	if err != nil {
-		return 0, []byte(err.Error())
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	return resp.StatusCode, raw
-}
-
 type node struct {
+	*harness.Server
 	id      string
-	base    string // http base URL
+	addr    string // http listen addr
 	repl    string // repl listen addr (primaries)
 	dataDir string
-	cmd     *exec.Cmd
 }
 
 func (n *node) start(bin, peers string, extra ...string) {
-	args := append([]string{
-		"-addr", strings.TrimPrefix(n.base, "http://"),
+	n.Server = harness.Start("node "+n.id, bin, n.addr, os.Stdout, os.Stderr, append([]string{
 		"-data", n.dataDir,
 		"-node-id", n.id,
 		"-peers", peers,
 		"-log-level", "error",
 		"-grace", "2s",
-	}, extra...)
-	n.cmd = exec.Command(bin, args...)
-	n.cmd.Stdout, n.cmd.Stderr = os.Stdout, os.Stderr
-	if err := n.cmd.Start(); err != nil {
-		fatalf("start node %s: %v", n.id, err)
-	}
-}
-
-func waitHealthy(name, base string) {
-	for deadline := time.Now().Add(15 * time.Second); time.Now().Before(deadline); {
-		if st, _ := get(base + "/healthz"); st == http.StatusOK {
-			return
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	fatalf("%s never became healthy at %s", name, base)
+	}, extra...)...)
 }
 
 // clusterStatus mirrors the GET /v1/cluster fields the smoke reads.
@@ -132,13 +78,9 @@ type clusterStatus struct {
 }
 
 func clusterOf(base string) clusterStatus {
-	st, raw := get(base + "/v1/cluster")
-	if st != http.StatusOK {
-		fatalf("GET %s/v1/cluster: status %d: %s", base, st, raw)
-	}
 	var cs clusterStatus
-	if err := json.Unmarshal(raw, &cs); err != nil {
-		fatalf("decode cluster status: %v", err)
+	if err := json.Unmarshal(harness.MustGet(base+"/v1/cluster", http.StatusOK), &cs); err != nil {
+		harness.Fatalf("decode cluster status: %v", err)
 	}
 	return cs
 }
@@ -176,28 +118,19 @@ func main() {
 	if v := os.Getenv("CLUSTER_SMOKE_CHIPS"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 100 {
-			fatalf("bad CLUSTER_SMOKE_CHIPS %q", v)
+			harness.Fatalf("bad CLUSTER_SMOKE_CHIPS %q", v)
 		}
 		chips = n
 	}
 
+	harness.Client.Timeout = httpDeadline
+
 	tmp, err := os.MkdirTemp("", "cluster-smoke-")
 	if err != nil {
-		fatalf("mkdtemp: %v", err)
+		harness.Fatalf("mkdtemp: %v", err)
 	}
 	defer os.RemoveAll(tmp)
-
-	bin := filepath.Join(tmp, "selfheal-serve")
-	buildArgs := []string{"build"}
-	if race {
-		buildArgs = append(buildArgs, "-race")
-	}
-	buildArgs = append(buildArgs, "-o", bin, "./cmd/selfheal-serve")
-	build := exec.Command("go", buildArgs...)
-	build.Stdout, build.Stderr = os.Stdout, os.Stderr
-	if err := build.Run(); err != nil {
-		fatalf("build selfheal-serve (race=%v): %v", race, err)
-	}
+	bin := harness.Build(tmp, race)
 
 	// Ring: three primaries; "a" runs semisync into a hot standby (it
 	// is the one we kill), "b" and "c" replicate async.
@@ -205,14 +138,14 @@ func main() {
 	for _, id := range []string{"a", "b", "c"} {
 		nodes[id] = &node{
 			id:      id,
-			base:    "http://" + freePort(),
-			repl:    freePort(),
+			addr:    harness.FreePort(),
+			repl:    harness.FreePort(),
 			dataDir: filepath.Join(tmp, "data-"+id),
 		}
 	}
 	peerSpecs := make([]string, 0, 3)
 	for _, id := range []string{"a", "b", "c"} {
-		peerSpecs = append(peerSpecs, id+"="+nodes[id].base)
+		peerSpecs = append(peerSpecs, id+"=http://"+nodes[id].addr)
 	}
 	peers := strings.Join(peerSpecs, ",")
 
@@ -221,45 +154,40 @@ func main() {
 	nodes["c"].start(bin, peers, "-repl-listen", nodes["c"].repl, "-repl-mode", "async")
 	defer func() {
 		for _, n := range nodes {
-			if n.cmd != nil && n.cmd.Process != nil {
-				n.cmd.Process.Kill()
-			}
+			n.Kill()
 		}
 	}()
 	for _, id := range []string{"a", "b", "c"} {
-		waitHealthy("node "+id, nodes[id].base)
+		nodes[id].WaitHealthy(15 * time.Second)
 	}
 
 	// The hot standby tails a's journal and will take over a's ring id.
-	standby := &node{id: "a", base: "http://" + freePort(), dataDir: filepath.Join(tmp, "data-standby")}
+	standby := &node{id: "a", addr: harness.FreePort(), dataDir: filepath.Join(tmp, "data-standby")}
 	standby.start(bin, peers,
 		"-repl-follow", nodes["a"].repl,
-		"-advertise", standby.base)
-	defer func() {
-		if standby.cmd != nil && standby.cmd.Process != nil {
-			standby.cmd.Process.Kill()
-		}
-	}()
-	waitHealthy("standby", standby.base)
-	if st, _ := get(standby.base + "/readyz"); st != http.StatusServiceUnavailable {
-		fatalf("standby /readyz = %d, want 503 before promotion", st)
+		"-advertise", "http://"+standby.addr)
+	standby.Name = "standby"
+	defer standby.Kill()
+	standby.WaitHealthy(15 * time.Second)
+	if st, _ := harness.Get(standby.Base + "/readyz"); st != http.StatusServiceUnavailable {
+		harness.Fatalf("standby /readyz = %d, want 503 before promotion", st)
 	}
 	for deadline := time.Now().Add(15 * time.Second); ; {
-		if cs := clusterOf(nodes["a"].base); cs.Repl != nil && cs.Repl.Connected {
+		if cs := clusterOf(nodes["a"].Base); cs.Repl != nil && cs.Repl.Connected {
 			break
 		}
 		if time.Now().After(deadline) {
-			fatalf("standby never attached to a's semisync stream")
+			harness.Fatalf("standby never attached to a's semisync stream")
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
 	fmt.Printf("cluster-smoke: 3 primaries + standby up (%d chips, race=%v)\n", chips, race)
 
 	// Load the fleet through the routing client's batch partitioner.
-	peerURLs := map[string]string{"a": nodes["a"].base, "b": nodes["b"].base, "c": nodes["c"].base}
+	peerURLs := map[string]string{"a": nodes["a"].Base, "b": nodes["b"].Base, "c": nodes["c"].Base}
 	cl, err := client.NewCluster(peerURLs, 0, client.WithHTTPClient(&http.Client{Timeout: httpDeadline}))
 	if err != nil {
-		fatalf("cluster client: %v", err)
+		harness.Fatalf("cluster client: %v", err)
 	}
 	ctx := context.Background()
 	ids := make([]string, chips)
@@ -279,12 +207,12 @@ func main() {
 		}
 		resp, err := cl.BatchCreateChips(ctx, specs)
 		if err != nil {
-			fatalf("batch create [%d,%d): %v", lo, hi, err)
+			harness.Fatalf("batch create [%d,%d): %v", lo, hi, err)
 		}
 		if resp.Failed != 0 {
 			for _, r := range resp.Results {
 				if r.Error != "" {
-					fatalf("batch create [%d,%d): chip %s: %s", lo, hi, r.ID, r.Error)
+					harness.Fatalf("batch create [%d,%d): chip %s: %s", lo, hi, r.ID, r.Error)
 				}
 			}
 		}
@@ -338,7 +266,7 @@ func main() {
 				return
 			}
 			if time.Now().After(end) {
-				fatalf("%s: no acked writes within %v", what, deadline)
+				harness.Fatalf("%s: no acked writes within %v", what, deadline)
 			}
 			time.Sleep(20 * time.Millisecond)
 		}
@@ -347,10 +275,9 @@ func main() {
 	time.Sleep(trafficBeat)
 
 	// kill -9 the semisync primary mid-traffic.
-	if err := syscall.Kill(nodes["a"].cmd.Process.Pid, syscall.SIGKILL); err != nil {
-		fatalf("kill -9 node a: %v", err)
+	if err := nodes["a"].Kill(); err != nil {
+		harness.Fatalf("kill -9 node a: %v", err)
 	}
-	nodes["a"].cmd.Wait()
 	fmt.Println("cluster-smoke: node a killed (SIGKILL) mid-traffic")
 
 	// Surviving shards must keep taking writes while a is down.
@@ -361,31 +288,31 @@ func main() {
 	// Promotion replays (re-fabricates) a's whole shard inside this one
 	// request, so it gets its own generous deadline.
 	promoteHC := &http.Client{Timeout: 15 * time.Minute}
-	resp, err := promoteHC.Post(standby.base+"/v1/cluster/promote", "application/json", nil)
+	resp, err := promoteHC.Post(standby.Base+"/v1/cluster/promote", "application/json", nil)
 	if err != nil {
-		fatalf("promote: %v", err)
+		harness.Fatalf("promote: %v", err)
 	}
 	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	st := resp.StatusCode
 	if st != http.StatusOK {
-		fatalf("promote: status %d: %s", st, raw)
+		harness.Fatalf("promote: status %d: %s", st, raw)
 	}
 	var promoted struct {
 		Chips    int `json:"chips"`
 		Replayed int `json:"replayed_records"`
 	}
 	if err := json.Unmarshal(raw, &promoted); err != nil {
-		fatalf("decode promote response: %v", err)
+		harness.Fatalf("decode promote response: %v", err)
 	}
 	for _, id := range []string{"b", "c"} {
-		body := fmt.Sprintf(`{"id":"a","addr":%q}`, standby.base)
-		if st, raw := post(nodes[id].base+"/v1/cluster/peers", body); st != http.StatusOK {
-			fatalf("repoint a on node %s: status %d: %s", id, st, raw)
+		body := fmt.Sprintf(`{"id":"a","addr":%q}`, standby.Base)
+		if st, raw := harness.Post(nodes[id].Base+"/v1/cluster/peers", body); st != http.StatusOK {
+			harness.Fatalf("repoint a on node %s: status %d: %s", id, st, raw)
 		}
 	}
-	if err := cl.SetPeerAddr("a", standby.base); err != nil {
-		fatalf("client repoint: %v", err)
+	if err := cl.SetPeerAddr("a", standby.Base); err != nil {
+		harness.Fatalf("client repoint: %v", err)
 	}
 	fmt.Printf("cluster-smoke: standby promoted as node a (%d chips, %d records replayed)\n",
 		promoted.Chips, promoted.Replayed)
@@ -403,7 +330,7 @@ func main() {
 	audit := acks.snapshot()
 	listed, err := cl.ListChips(ctx)
 	if err != nil {
-		fatalf("post-failover list: %v", err)
+		harness.Fatalf("post-failover list: %v", err)
 	}
 	present := make(map[string]bool, len(listed))
 	for _, ch := range listed {
@@ -411,23 +338,23 @@ func main() {
 	}
 	for _, id := range ids {
 		if !present[id] {
-			fatalf("acked chip %s lost in failover (owner %s)", id, owners[id])
+			harness.Fatalf("acked chip %s lost in failover (owner %s)", id, owners[id])
 		}
 	}
 	type usage struct {
 		Ops uint64 `json:"ops"`
 	}
 	opsByID := make(map[string]uint64, chips)
-	for id, base := range map[string]string{"a": standby.base, "b": nodes["b"].base, "c": nodes["c"].base} {
-		st, raw := get(base + "/metrics")
+	for id, base := range map[string]string{"a": standby.Base, "b": nodes["b"].Base, "c": nodes["c"].Base} {
+		st, raw := harness.Get(base + "/metrics")
 		if st != http.StatusOK {
-			fatalf("metrics on %s: status %d", id, st)
+			harness.Fatalf("metrics on %s: status %d", id, st)
 		}
 		var snap struct {
 			Chips map[string]usage `json:"chips"`
 		}
 		if err := json.Unmarshal(raw, &snap); err != nil {
-			fatalf("decode metrics on %s: %v", id, err)
+			harness.Fatalf("decode metrics on %s: %v", id, err)
 		}
 		for chip, u := range snap.Chips {
 			if u.Ops > opsByID[chip] {
@@ -440,7 +367,7 @@ func main() {
 		// Ops counts stress/rejuvenate/measure/odometer; the create is
 		// audited by presence above.
 		if opsByID[id] < acked {
-			fatalf("chip %s (owner %s): %d ops replayed, but %d were acked",
+			harness.Fatalf("chip %s (owner %s): %d ops replayed, but %d were acked",
 				id, owners[id], opsByID[id], acked)
 		}
 		audited++
@@ -448,29 +375,29 @@ func main() {
 
 	// Audit 2: /readyz converges to 200 on every node id, with the
 	// promoted standby answering for "a".
-	bases := map[string]string{"a": standby.base, "b": nodes["b"].base, "c": nodes["c"].base}
+	bases := map[string]string{"a": standby.Base, "b": nodes["b"].Base, "c": nodes["c"].Base}
 	for id, base := range bases {
 		ok := false
 		for deadline := time.Now().Add(15 * time.Second); time.Now().Before(deadline); {
-			if st, _ := get(base + "/readyz"); st == http.StatusOK {
+			if st, _ := harness.Get(base + "/readyz"); st == http.StatusOK {
 				ok = true
 				break
 			}
 			time.Sleep(100 * time.Millisecond)
 		}
 		if !ok {
-			fatalf("node %s /readyz never converged to 200", id)
+			harness.Fatalf("node %s /readyz never converged to 200", id)
 		}
 	}
-	if cs := clusterOf(nodes["b"].base); true {
+	if cs := clusterOf(nodes["b"].Base); true {
 		found := false
 		for _, p := range cs.Peers {
-			if p.ID == "a" && p.Addr == standby.base {
+			if p.ID == "a" && p.Addr == standby.Base {
 				found = true
 			}
 		}
 		if !found {
-			fatalf("node b's ring never learned a's new address: %+v", cs.Peers)
+			harness.Fatalf("node b's ring never learned a's new address: %+v", cs.Peers)
 		}
 	}
 

@@ -11,17 +11,14 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
 	"os"
-	"os/exec"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
+
+	"selfheal/scripts/internal/harness"
 )
 
 const (
@@ -32,52 +29,6 @@ const (
 	epochPeriod = 25 * time.Millisecond
 	maxLagSecs  = 5.0 // generous: a 1-CPU CI box ticking 50k chips
 )
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "engine-smoke: FAIL: "+format+"\n", args...)
-	os.Exit(1)
-}
-
-func freePort() string {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fatalf("reserve port: %v", err)
-	}
-	defer l.Close()
-	return l.Addr().String()
-}
-
-func get(url string, wantStatus int) []byte {
-	resp, err := http.Get(url)
-	if err != nil {
-		fatalf("GET %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		fatalf("GET %s: read body: %v", url, err)
-	}
-	if resp.StatusCode != wantStatus {
-		fatalf("GET %s: status %d, want %d; body: %s", url, resp.StatusCode, wantStatus, body)
-	}
-	return body
-}
-
-func post(url, body string, wantStatus int) []byte {
-	resp, err := http.Post(url, "application/json", strings.NewReader(body))
-	if err != nil {
-		fatalf("POST %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		fatalf("POST %s: read body: %v", url, err)
-	}
-	if resp.StatusCode != wantStatus {
-		fatalf("POST %s: status %d, want %d; body: %s", url, resp.StatusCode, wantStatus, raw)
-	}
-	return raw
-}
 
 // engineStatus mirrors the GET /v1/engine body.
 type engineStatus struct {
@@ -93,8 +44,8 @@ type engineStatus struct {
 
 func status(base string) engineStatus {
 	var st engineStatus
-	if err := json.Unmarshal(get(base+"/v1/engine", http.StatusOK), &st); err != nil {
-		fatalf("decode engine status: %v", err)
+	if err := json.Unmarshal(harness.MustGet(base+"/v1/engine", http.StatusOK), &st); err != nil {
+		harness.Fatalf("decode engine status: %v", err)
 	}
 	return st
 }
@@ -102,50 +53,20 @@ func status(base string) engineStatus {
 func main() {
 	tmp, err := os.MkdirTemp("", "engine-smoke-")
 	if err != nil {
-		fatalf("tempdir: %v", err)
+		harness.Fatalf("tempdir: %v", err)
 	}
 	defer os.RemoveAll(tmp)
+	bin := harness.Build(tmp, false)
 
-	bin := filepath.Join(tmp, "selfheal-serve")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/selfheal-serve")
-	build.Stdout, build.Stderr = os.Stdout, os.Stderr
-	if err := build.Run(); err != nil {
-		fatalf("build selfheal-serve: %v", err)
-	}
-
-	addr := freePort()
-	srv := exec.Command(bin,
-		"-addr", addr,
+	srv := harness.Start("server", bin, harness.FreePort(), os.Stdout, os.Stderr,
 		"-engine",
 		"-epoch", epochPeriod.String(),
 		"-log-level", "warn",
 		"-grace", "2s",
 	)
-	srv.Stdout, srv.Stderr = os.Stdout, os.Stderr
-	if err := srv.Start(); err != nil {
-		fatalf("start server: %v", err)
-	}
-	defer func() {
-		srv.Process.Signal(syscall.SIGTERM)
-		srv.Wait()
-	}()
-
-	base := "http://" + addr
-	up := false
-	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
-		resp, err := http.Get(base + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				up = true
-				break
-			}
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	if !up {
-		fatalf("server never became healthy")
-	}
+	defer srv.Stop()
+	base := srv.Base
+	srv.WaitHealthy(10 * time.Second)
 
 	// ---- Load the fleet: a fabricated slice plus engine-native bulk. ----
 	loadStart := time.Now()
@@ -157,12 +78,12 @@ func main() {
 		Created int `json:"created"`
 		Failed  int `json:"failed"`
 	}
-	raw := post(base+"/v1/chips:batch", `{"chips":[`+strings.Join(specs, ",")+`]}`, http.StatusOK)
+	raw := harness.MustPost(base+"/v1/chips:batch", `{"chips":[`+strings.Join(specs, ",")+`]}`, http.StatusOK)
 	if err := json.Unmarshal(raw, &created); err != nil {
-		fatalf("decode fleet batch response: %v", err)
+		harness.Fatalf("decode fleet batch response: %v", err)
 	}
 	if created.Created != fleetChips || created.Failed != 0 {
-		fatalf("fleet batch created %d / failed %d, want %d / 0", created.Created, created.Failed, fleetChips)
+		harness.Fatalf("fleet batch created %d / failed %d, want %d / 0", created.Created, created.Failed, fleetChips)
 	}
 
 	for start := fleetChips; start < totalChips; start += batchSize {
@@ -183,17 +104,17 @@ func main() {
 			Registered int `json:"registered"`
 			Failed     int `json:"failed"`
 		}
-		if err := json.Unmarshal(post(base+"/v1/engine/chips:batch",
+		if err := json.Unmarshal(harness.MustPost(base+"/v1/engine/chips:batch",
 			`{"chips":[`+strings.Join(specs, ",")+`]}`, http.StatusOK), &reg); err != nil {
-			fatalf("decode engine batch response: %v", err)
+			harness.Fatalf("decode engine batch response: %v", err)
 		}
 		if reg.Failed != 0 {
-			fatalf("engine batch starting at %d: %d failed", start, reg.Failed)
+			harness.Fatalf("engine batch starting at %d: %d failed", start, reg.Failed)
 		}
 	}
 	st := status(base)
 	if st.Stats.Chips != totalChips {
-		fatalf("engine holds %d chips after load, want %d", st.Stats.Chips, totalChips)
+		harness.Fatalf("engine holds %d chips after load, want %d", st.Stats.Chips, totalChips)
 	}
 	fmt.Printf("engine-smoke: loaded %d chips in %v (epoch %d already ticking)\n",
 		totalChips, time.Since(loadStart).Round(time.Millisecond), st.Stats.Epoch)
@@ -226,7 +147,7 @@ func main() {
 				var cv struct {
 					Odometer float64 `json:"odometer_epochs"`
 				}
-				if err := json.Unmarshal(get(base+"/v1/engine/chips/"+probe, http.StatusOK), &cv); err != nil {
+				if err := json.Unmarshal(harness.MustGet(base+"/v1/engine/chips/"+probe, http.StatusOK), &cv); err != nil {
 					errc <- fmt.Sprintf("reader %d: decode chip view: %v", r, err)
 					return
 				}
@@ -248,13 +169,13 @@ func main() {
 			maxLag = st.Stats.EpochLagSeconds
 		}
 		if st.Stats.AdvanceError != "" {
-			fatalf("engine reported advance error: %s", st.Stats.AdvanceError)
+			harness.Fatalf("engine reported advance error: %s", st.Stats.AdvanceError)
 		}
 		if st.Stats.Epoch >= target {
 			break
 		}
 		if time.Now().After(deadline) {
-			fatalf("engine reached only epoch %d of %d before the deadline", st.Stats.Epoch, target)
+			harness.Fatalf("engine reached only epoch %d of %d before the deadline", st.Stats.Epoch, target)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
@@ -262,26 +183,26 @@ func main() {
 	wg.Wait()
 	select {
 	case msg := <-errc:
-		fatalf("%s", msg)
+		harness.Fatalf("%s", msg)
 	default:
 	}
 	if maxLag > maxLagSecs {
-		fatalf("epoch lag peaked at %.2fs, bound is %.2fs", maxLag, maxLagSecs)
+		harness.Fatalf("epoch lag peaked at %.2fs, bound is %.2fs", maxLag, maxLagSecs)
 	}
 
 	// ---- A DC chip's odometer matches the epochs it lived through. ----
 	var cv struct {
 		Odometer uint64 `json:"odometer_epochs"`
 	}
-	if err := json.Unmarshal(get(base+"/v1/engine/chips/e01002", http.StatusOK), &cv); err != nil {
-		fatalf("decode final chip view: %v", err)
+	if err := json.Unmarshal(harness.MustGet(base+"/v1/engine/chips/e01002", http.StatusOK), &cv); err != nil {
+		harness.Fatalf("decode final chip view: %v", err)
 	}
 	if cv.Odometer == 0 {
-		fatalf("DC chip e01002 never aged")
+		harness.Fatalf("DC chip e01002 never aged")
 	}
 
 	// ---- Cardinality stays capped with 50k chips registered. ----
-	prom := string(get(base+"/metrics?format=prometheus", http.StatusOK))
+	prom := string(harness.MustGet(base+"/metrics?format=prometheus", http.StatusOK))
 	for _, want := range []string{
 		fmt.Sprintf("selfheal_engine_chips %d", totalChips),
 		"selfheal_engine_epoch ",
@@ -289,14 +210,14 @@ func main() {
 		fmt.Sprintf("selfheal_chips %d", fleetChips),
 	} {
 		if !strings.Contains(prom, want) {
-			fatalf("prometheus exposition missing %q", want)
+			harness.Fatalf("prometheus exposition missing %q", want)
 		}
 	}
 	if n := strings.Count(prom, "selfheal_engine_chip_odometer_epochs{"); n == 0 || n > 50 {
-		fatalf("engine per-chip odometer series = %d, want 1..50", n)
+		harness.Fatalf("engine per-chip odometer series = %d, want 1..50", n)
 	}
 	if n := strings.Count(prom, "selfheal_chip_ops_total{"); n > 50 {
-		fatalf("fleet per-chip ops series = %d, want <= 50", n)
+		harness.Fatalf("fleet per-chip ops series = %d, want <= 50", n)
 	}
 
 	fmt.Printf("engine-smoke: PASS — %d chips, %d epochs, peak lag %.3fs, %.0f chips/sec last tick\n",

@@ -18,15 +18,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
-	"os/exec"
-	"path/filepath"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
+
+	"selfheal/scripts/internal/harness"
 )
 
 const (
@@ -57,59 +55,6 @@ const (
 	maxStressRatio = 1.0 / 3.0
 )
 
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "guard-smoke: FAIL: "+format+"\n", args...)
-	os.Exit(1)
-}
-
-func freePort() string {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fatalf("reserve port: %v", err)
-	}
-	defer l.Close()
-	return l.Addr().String()
-}
-
-func get(url string, wantStatus int) []byte {
-	resp, err := http.Get(url)
-	if err != nil {
-		fatalf("GET %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		fatalf("GET %s: read body: %v", url, err)
-	}
-	if resp.StatusCode != wantStatus {
-		fatalf("GET %s: status %d, want %d; body: %s", url, resp.StatusCode, wantStatus, body)
-	}
-	return body
-}
-
-func post(url, body string, wantStatus int) []byte {
-	resp, raw := postRaw(url, body)
-	if resp.StatusCode != wantStatus {
-		fatalf("POST %s: status %d, want %d; body: %s", url, resp.StatusCode, wantStatus, raw)
-	}
-	return raw
-}
-
-// postRaw returns the response unchecked — the quarantine-contract
-// probes need to branch on the status instead of dying.
-func postRaw(url, body string) (*http.Response, []byte) {
-	resp, err := http.Post(url, "application/json", strings.NewReader(body))
-	if err != nil {
-		fatalf("POST %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		fatalf("POST %s: read body: %v", url, err)
-	}
-	return resp, raw
-}
-
 // guardStatus mirrors the GET /v1/guard body (the fields we use).
 type guardStatus struct {
 	Enabled bool `json:"enabled"`
@@ -139,27 +84,23 @@ type chipView struct {
 	Odometer uint64  `json:"odometer_epochs"`
 }
 
-type server struct {
-	name string
-	base string
-	cmd  *exec.Cmd
-}
+type server struct{ *harness.Server }
 
 func (s *server) guard() guardStatus {
 	var st guardStatus
-	if err := json.Unmarshal(get(s.base+"/v1/guard", http.StatusOK), &st); err != nil {
-		fatalf("%s: decode guard status: %v", s.name, err)
+	if err := json.Unmarshal(harness.MustGet(s.Base+"/v1/guard", http.StatusOK), &st); err != nil {
+		harness.Fatalf("%s: decode guard status: %v", s.Name, err)
 	}
 	if !st.Enabled || st.Status == nil {
-		fatalf("%s: guard not enabled in status body", s.name)
+		harness.Fatalf("%s: guard not enabled in status body", s.Name)
 	}
 	return st
 }
 
 func (s *server) chip(id string) chipView {
 	var cv chipView
-	if err := json.Unmarshal(get(s.base+"/v1/engine/chips/"+id, http.StatusOK), &cv); err != nil {
-		fatalf("%s: decode chip view %s: %v", s.name, id, err)
+	if err := json.Unmarshal(harness.MustGet(s.Base+"/v1/engine/chips/"+id, http.StatusOK), &cv); err != nil {
+		harness.Fatalf("%s: decode chip view %s: %v", s.Name, id, err)
 	}
 	return cv
 }
@@ -170,9 +111,9 @@ func (s *server) tick(n uint64) uint64 {
 	var resp struct {
 		Epoch uint64 `json:"epoch"`
 	}
-	raw := post(s.base+"/v1/engine/tick", fmt.Sprintf(`{"epochs":%d}`, n), http.StatusOK)
+	raw := harness.MustPost(s.Base+"/v1/engine/tick", fmt.Sprintf(`{"epochs":%d}`, n), http.StatusOK)
 	if err := json.Unmarshal(raw, &resp); err != nil {
-		fatalf("%s: decode tick response: %v", s.name, err)
+		harness.Fatalf("%s: decode tick response: %v", s.Name, err)
 	}
 	return resp.Epoch
 }
@@ -188,37 +129,19 @@ func (s *server) tickTo(target uint64) {
 		cur = s.tick(n)
 	}
 	if cur != target {
-		fatalf("%s: overshot epoch %d ticking to %d", s.name, cur, target)
+		harness.Fatalf("%s: overshot epoch %d ticking to %d", s.Name, cur, target)
 	}
 }
 
 func boot(bin, name string, extra ...string) *server {
-	addr := freePort()
-	args := append([]string{
-		"-addr", addr,
+	s := harness.Start(name, bin, harness.FreePort(), os.Stdout, os.Stderr, append([]string{
 		"-engine",
 		"-epoch=-1s", // manual clock: this driver paces the simulation
 		"-log-level", "error",
 		"-grace", "2s",
-	}, extra...)
-	cmd := exec.Command(bin, args...)
-	cmd.Stdout, cmd.Stderr = os.Stdout, os.Stderr
-	if err := cmd.Start(); err != nil {
-		fatalf("start %s server: %v", name, err)
-	}
-	s := &server{name: name, base: "http://" + addr, cmd: cmd}
-	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
-		resp, err := http.Get(s.base + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return s
-			}
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	fatalf("%s server never became healthy", name)
-	return nil
+	}, extra...)...)
+	s.WaitHealthy(10 * time.Second)
+	return &server{s}
 }
 
 // loadFleet fabricates the fleet-API slice the adversary hunts in.
@@ -231,13 +154,13 @@ func loadFleet(s *server) {
 		Created int `json:"created"`
 		Failed  int `json:"failed"`
 	}
-	raw := post(s.base+"/v1/chips:batch", `{"chips":[`+strings.Join(specs, ",")+`]}`, http.StatusOK)
+	raw := harness.MustPost(s.Base+"/v1/chips:batch", `{"chips":[`+strings.Join(specs, ",")+`]}`, http.StatusOK)
 	if err := json.Unmarshal(raw, &created); err != nil {
-		fatalf("%s: decode fleet batch response: %v", s.name, err)
+		harness.Fatalf("%s: decode fleet batch response: %v", s.Name, err)
 	}
 	if created.Created != fleetChips || created.Failed != 0 {
-		fatalf("%s: fleet batch created %d / failed %d, want %d / 0",
-			s.name, created.Created, created.Failed, fleetChips)
+		harness.Fatalf("%s: fleet batch created %d / failed %d, want %d / 0",
+			s.Name, created.Created, created.Failed, fleetChips)
 	}
 }
 
@@ -252,12 +175,12 @@ func loadBulk(s *server) {
 			Registered int `json:"registered"`
 			Failed     int `json:"failed"`
 		}
-		if err := json.Unmarshal(post(s.base+"/v1/engine/chips:batch",
+		if err := json.Unmarshal(harness.MustPost(s.Base+"/v1/engine/chips:batch",
 			`{"chips":[`+strings.Join(specs, ",")+`]}`, http.StatusOK), &reg); err != nil {
-			fatalf("%s: decode engine batch response: %v", s.name, err)
+			harness.Fatalf("%s: decode engine batch response: %v", s.Name, err)
 		}
 		if reg.Failed != 0 {
-			fatalf("%s: engine batch starting at %d: %d failed", s.name, start, reg.Failed)
+			harness.Fatalf("%s: engine batch starting at %d: %d failed", s.Name, start, reg.Failed)
 		}
 	}
 }
@@ -267,7 +190,7 @@ func loadBulk(s *server) {
 func victims(s *server) []string {
 	st := s.guard()
 	if st.Status.Adversary == nil || len(st.Status.Adversary.Victims) == 0 {
-		fatalf("%s: adversary picked no victims by epoch %d", s.name, st.Status.Epoch)
+		harness.Fatalf("%s: adversary picked no victims by epoch %d", s.Name, st.Status.Epoch)
 	}
 	return st.Status.Adversary.Victims
 }
@@ -277,51 +200,51 @@ func victims(s *server) []string {
 // Retry-After on both the fleet and engine APIs, reads keep serving.
 // The clock is manual, so nothing can release the chip mid-probe.
 func checkQuarantineContract(s *server, victim string) {
-	resp, body := postRaw(s.base+"/v1/chips/"+victim+"/stress", `{"temp_c":85,"vdd":1.2,"hours":1}`)
+	url := s.Base + "/v1/chips/" + victim + "/stress"
+	resp, err := harness.Client.Post(url, "application/json", strings.NewReader(`{"temp_c":85,"vdd":1.2,"hours":1}`))
+	if err != nil {
+		harness.Fatalf("POST %s: %v", url, err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		harness.Fatalf("POST %s: read body: %v", url, err)
+	}
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		fatalf("stress on quarantined %s: status %d, body %s", victim, resp.StatusCode, body)
+		harness.Fatalf("stress on quarantined %s: status %d, body %s", victim, resp.StatusCode, body)
 	}
 	if !strings.Contains(string(body), `"code": "quarantined"`) {
-		fatalf("quarantined 503 body missing code: %s", body)
+		harness.Fatalf("quarantined 503 body missing code: %s", body)
 	}
 	if resp.Header.Get("Retry-After") == "" {
-		fatalf("quarantined 503 missing Retry-After")
+		harness.Fatalf("quarantined 503 missing Retry-After")
 	}
 	// Reads keep serving: the fleet list and the quarantined chip's own
 	// engine view. (Sensor reads commit — measuring ages the die — so
 	// they are refused like any mutation.)
-	get(s.base+"/v1/chips", http.StatusOK)
-	get(s.base+"/v1/engine/chips/"+victim, http.StatusOK)
+	harness.MustGet(s.Base+"/v1/chips", http.StatusOK)
+	harness.MustGet(s.Base+"/v1/engine/chips/"+victim, http.StatusOK)
 	// The engine surface — where the adversary's own moves land —
 	// refuses identically.
-	resp, body = postRaw(s.base+"/v1/engine/chips/"+victim+"/condition", `{"temp_c":110,"vdd":1.32,"duty":1}`)
-	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), "quarantined") {
-		fatalf("engine condition on quarantined %s: status %d, body %s", victim, resp.StatusCode, body)
+	st, body := harness.Post(s.Base+"/v1/engine/chips/"+victim+"/condition", `{"temp_c":110,"vdd":1.32,"duty":1}`)
+	if st != http.StatusServiceUnavailable || !strings.Contains(string(body), "quarantined") {
+		harness.Fatalf("engine condition on quarantined %s: status %d, body %s", victim, st, body)
 	}
 }
 
 func main() {
 	tmp, err := os.MkdirTemp("", "guard-smoke-")
 	if err != nil {
-		fatalf("tempdir: %v", err)
+		harness.Fatalf("tempdir: %v", err)
 	}
 	defer os.RemoveAll(tmp)
 
-	bin := filepath.Join(tmp, "selfheal-serve")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/selfheal-serve")
-	build.Stdout, build.Stderr = os.Stdout, os.Stderr
-	if err := build.Run(); err != nil {
-		fatalf("build selfheal-serve: %v", err)
-	}
+	bin := harness.Build(tmp, false)
 
 	defended := boot(bin, "defended", "-guard", "-guard-spec", defendSpec, "-adversary", advSpec)
 	control := boot(bin, "control", "-guard", "-guard-spec", blindSpec, "-adversary", advSpec)
-	defer func() {
-		for _, s := range []*server{defended, control} {
-			s.cmd.Process.Signal(syscall.SIGTERM)
-			s.cmd.Wait()
-		}
-	}()
+	defer defended.Stop()
+	defer control.Stop()
 
 	// ---- Arm both arenas: load 10k chips each, then age the whole ----
 	// ---- fleet uniformly to just before attack onset and baseline. ----
@@ -377,18 +300,18 @@ func main() {
 
 	// Detection: bounded alert latency from attack onset.
 	if firstQuarEpoch == 0 {
-		fatalf("defended guard never quarantined; metrics %+v", dst.Status.Metrics)
+		harness.Fatalf("defended guard never quarantined; metrics %+v", dst.Status.Metrics)
 	}
 	if lat := firstQuarEpoch - advStart; lat > maxAlertEpochs {
-		fatalf("alert latency %d epochs (quarantine at %d, onset %d), bound %d",
+		harness.Fatalf("alert latency %d epochs (quarantine at %d, onset %d), bound %d",
 			lat, firstQuarEpoch, advStart, maxAlertEpochs)
 	}
 	if !contractDone {
-		fatalf("victim %s never observed on the quarantine roster", primary)
+		harness.Fatalf("victim %s never observed on the quarantine roster", primary)
 	}
 	m := dst.Status.Metrics
 	if m.AlertsTotal == 0 || m.RemapsTotal == 0 || m.RejuvenationEpochsTotal == 0 || m.ReleasesTotal == 0 {
-		fatalf("defended loop incomplete: %+v", m)
+		harness.Fatalf("defended loop incomplete: %+v", m)
 	}
 
 	// The alert feed names the victim chips.
@@ -398,8 +321,8 @@ func main() {
 			Chip string `json:"chip"`
 		} `json:"alerts"`
 	}
-	if err := json.Unmarshal(get(defended.base+"/v1/guard/alerts", http.StatusOK), &alerts); err != nil {
-		fatalf("decode alerts: %v", err)
+	if err := json.Unmarshal(harness.MustGet(defended.Base+"/v1/guard/alerts", http.StatusOK), &alerts); err != nil {
+		harness.Fatalf("decode alerts: %v", err)
 	}
 	kinds := map[string]bool{}
 	victimAlerted := false
@@ -411,11 +334,11 @@ func main() {
 	}
 	for _, k := range []string{"aging-rate-outlier", "quarantined", "remapped", "rejuvenation-scheduled", "released"} {
 		if !kinds[k] {
-			fatalf("alert feed missing kind %q; got %v", k, kinds)
+			harness.Fatalf("alert feed missing kind %q; got %v", k, kinds)
 		}
 	}
 	if !victimAlerted {
-		fatalf("no quarantine alert names victim %s", primary)
+		harness.Fatalf("no quarantine alert names victim %s", primary)
 	}
 
 	// Margin recovery: the rejuvenated valley recovers ≥90% of the
@@ -423,11 +346,11 @@ func main() {
 	loss := peakVth - dBase.VthShift
 	recovered := peakVth - valleyVth
 	if loss <= 0 {
-		fatalf("victim %s never lost margin (peak %.3g, base %.3g)", primary, peakVth, dBase.VthShift)
+		harness.Fatalf("victim %s never lost margin (peak %.3g, base %.3g)", primary, peakVth, dBase.VthShift)
 	}
 	frac := recovered / loss
 	if frac < minRecoverFrac {
-		fatalf("margin recovery %.1f%% (peak %.3g, valley %.3g, base %.3g), want ≥ %.0f%%",
+		harness.Fatalf("margin recovery %.1f%% (peak %.3g, valley %.3g, base %.3g), want ≥ %.0f%%",
 			100*frac, peakVth, valleyVth, dBase.VthShift, 100*minRecoverFrac)
 	}
 
@@ -435,7 +358,7 @@ func main() {
 	control.tickTo(advStart + watchEpochs)
 	cst := control.guard()
 	if cst.Status.Metrics.QuarantinedChips != 0 || cst.Status.Metrics.ReleasesTotal != 0 {
-		fatalf("blinded control quarantined something: %+v", cst.Status.Metrics)
+		harness.Fatalf("blinded control quarantined something: %+v", cst.Status.Metrics)
 	}
 	bystander := ""
 	for i := 0; i < fleetChips && bystander == ""; i++ {
@@ -451,12 +374,12 @@ func main() {
 	cVictimView := control.chip(cPrimary)
 	bystanderView := control.chip(bystander)
 	if cVictimView.VthShift < 2*bystanderView.VthShift {
-		fatalf("control victim %s did not drift: vth %.3g vs bystander %.3g",
+		harness.Fatalf("control victim %s did not drift: vth %.3g vs bystander %.3g",
 			cPrimary, cVictimView.VthShift, bystanderView.VthShift)
 	}
 	dVictimView := defended.chip(primary)
 	if dVictimView.VthShift >= cVictimView.VthShift/2 {
-		fatalf("defended victim vth %.3g not clearly below drifting control %.3g",
+		harness.Fatalf("defended victim vth %.3g not clearly below drifting control %.3g",
 			dVictimView.VthShift, cVictimView.VthShift)
 	}
 
@@ -467,26 +390,26 @@ func main() {
 	dStress := dVictimView.Odometer - dBase.Odometer
 	cStress := cVictimView.Odometer - cBase.Odometer
 	if cStress == 0 {
-		fatalf("control victim accrued no stress epochs")
+		harness.Fatalf("control victim accrued no stress epochs")
 	}
 	ratio := float64(dStress) / float64(cStress)
 	if ratio > maxStressRatio {
-		fatalf("defended victim stress time %d epochs vs control %d (ratio %.2f), want ≤ %.2f",
+		harness.Fatalf("defended victim stress time %d epochs vs control %d (ratio %.2f), want ≤ %.2f",
 			dStress, cStress, ratio, maxStressRatio)
 	}
 
 	// ---- Prometheus carries the guard series, cardinality capped. ----
-	prom := string(get(defended.base+"/metrics?format=prometheus", http.StatusOK))
+	prom := string(harness.MustGet(defended.Base+"/metrics?format=prometheus", http.StatusOK))
 	for _, want := range []string{
 		"guard_alerts_total", "guard_quarantined_chips", "guard_remaps_total",
 		"guard_rejuvenation_epochs_total", "guard_releases_total",
 	} {
 		if !strings.Contains(prom, want) {
-			fatalf("prometheus exposition missing %q", want)
+			harness.Fatalf("prometheus exposition missing %q", want)
 		}
 	}
 	if n := strings.Count(prom, "guard_chip_quarantined{"); n > 50 {
-		fatalf("guard per-chip quarantine series = %d, want <= 50", n)
+		harness.Fatalf("guard per-chip quarantine series = %d, want <= 50", n)
 	}
 
 	fmt.Printf("guard-smoke: PASS — detected in %d epochs, %.0f%% margin recovered "+

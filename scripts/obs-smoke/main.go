@@ -11,35 +11,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
 	"net/url"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
+
+	"selfheal/scripts/internal/harness"
 )
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "obs-smoke: FAIL: "+format+"\n", args...)
-	os.Exit(1)
-}
-
-// freePort grabs an ephemeral localhost port. Closing the listener
-// before the server binds it is a small race, acceptable in a smoke
-// test that runs on an otherwise idle CI box.
-func freePort() string {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fatalf("reserve port: %v", err)
-	}
-	defer l.Close()
-	return l.Addr().String()
-}
 
 // lockedBuffer collects the server's stderr while the test reads it.
 type lockedBuffer struct {
@@ -59,128 +40,60 @@ func (b *lockedBuffer) String() string {
 	return b.buf.String()
 }
 
-// get fetches a URL and returns the body, failing the smoke on any
-// transport error or unexpected status.
-func get(url string, wantStatus int) []byte {
-	resp, err := http.Get(url)
-	if err != nil {
-		fatalf("GET %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		fatalf("GET %s: read body: %v", url, err)
-	}
-	if resp.StatusCode != wantStatus {
-		fatalf("GET %s: status %d, want %d; body: %s", url, resp.StatusCode, wantStatus, body)
-	}
-	return body
-}
-
-func post(url, body string, wantStatus int) []byte {
-	resp, err := http.Post(url, "application/json", strings.NewReader(body))
-	if err != nil {
-		fatalf("POST %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		fatalf("POST %s: read body: %v", url, err)
-	}
-	if resp.StatusCode != wantStatus {
-		fatalf("POST %s: status %d, want %d; body: %s", url, resp.StatusCode, wantStatus, raw)
-	}
-	return raw
-}
-
 func main() {
 	tmp, err := os.MkdirTemp("", "obs-smoke-")
 	if err != nil {
-		fatalf("tempdir: %v", err)
+		harness.Fatalf("tempdir: %v", err)
 	}
 	defer os.RemoveAll(tmp)
+	bin := harness.Build(tmp, false)
 
-	bin := filepath.Join(tmp, "selfheal-serve")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/selfheal-serve")
-	build.Stdout, build.Stderr = os.Stdout, os.Stderr
-	if err := build.Run(); err != nil {
-		fatalf("build selfheal-serve: %v", err)
-	}
-
-	addr, debugAddr := freePort(), freePort()
+	debugAddr := harness.FreePort()
 	logs := &lockedBuffer{}
-	srv := exec.Command(bin,
-		"-addr", addr,
+	srv := harness.Start("server", bin, harness.FreePort(), nil, logs,
 		"-debug-addr", debugAddr,
 		"-data", filepath.Join(tmp, "data"),
 		"-log-format", "json",
 		"-log-level", "debug",
 		"-grace", "2s",
 	)
-	srv.Stderr = logs
-	if err := srv.Start(); err != nil {
-		fatalf("start server: %v", err)
-	}
-	stopped := false
-	stop := func() {
-		if stopped {
-			return
-		}
-		stopped = true
-		srv.Process.Signal(syscall.SIGTERM)
-		srv.Wait()
-	}
-	defer stop()
+	defer srv.Stop()
 
-	base := "http://" + addr
+	base := srv.Base
 	debugBase := "http://" + debugAddr
 
 	// ---- Liveness: wait for the server to come up. ----
-	up := false
-	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
-		resp, err := http.Get(base + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				up = true
-				break
-			}
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	if !up {
-		fatalf("server never became healthy; logs:\n%s", logs.String())
-	}
+	srv.WaitHealthy(10 * time.Second)
 
 	// ---- Drive one batch through a durable fleet. ----
-	post(base+"/v1/chips", `{"id":"c0","seed":7,"kind":"bench"}`, http.StatusCreated)
-	post(base+"/v1/chips", `{"id":"m0","seed":8,"kind":"monitored"}`, http.StatusCreated)
+	harness.MustPost(base+"/v1/chips", `{"id":"c0","seed":7,"kind":"bench"}`, http.StatusCreated)
+	harness.MustPost(base+"/v1/chips", `{"id":"m0","seed":8,"kind":"monitored"}`, http.StatusCreated)
 	var batch struct {
 		Failed int `json:"failed"`
 	}
-	raw := post(base+"/v1/ops:batch", `{"ops":[
+	raw := harness.MustPost(base+"/v1/ops:batch", `{"ops":[
 		{"op":"stress","id":"c0","temp_c":110,"vdd":1.3,"ac":true,"hours":24,"sample_hours":6},
 		{"op":"measure","id":"c0"},
 		{"op":"odometer","id":"m0"}
 	]}`, http.StatusOK)
 	if err := json.Unmarshal(raw, &batch); err != nil {
-		fatalf("decode batch response %s: %v", raw, err)
+		harness.Fatalf("decode batch response %s: %v", raw, err)
 	}
 	if batch.Failed != 0 {
-		fatalf("batch had %d failed items: %s", batch.Failed, raw)
+		harness.Fatalf("batch had %d failed items: %s", batch.Failed, raw)
 	}
 
 	// ---- Both metric expositions. ----
 	var snap struct {
 		LatencyByRoute map[string]json.RawMessage `json:"latency_by_route"`
 	}
-	if err := json.Unmarshal(get(base+"/metrics", http.StatusOK), &snap); err != nil {
-		fatalf("decode JSON metrics: %v", err)
+	if err := json.Unmarshal(harness.MustGet(base+"/metrics", http.StatusOK), &snap); err != nil {
+		harness.Fatalf("decode JSON metrics: %v", err)
 	}
 	if _, ok := snap.LatencyByRoute["POST /v1/ops:batch"]; !ok {
-		fatalf("JSON metrics missing latency_by_route for the batch route")
+		harness.Fatalf("JSON metrics missing latency_by_route for the batch route")
 	}
-	prom := string(get(base+"/metrics?format=prometheus", http.StatusOK))
+	prom := string(harness.MustGet(base+"/metrics?format=prometheus", http.StatusOK))
 	for _, want := range []string{
 		`selfheal_request_duration_seconds_bucket{route="POST /v1/ops:batch",le="+Inf"}`,
 		`selfheal_chip_degradation_pct{chip="c0"}`,
@@ -189,7 +102,7 @@ func main() {
 		"go_goroutines",
 	} {
 		if !strings.Contains(prom, want) {
-			fatalf("prometheus exposition missing %q; got:\n%s", want, prom)
+			harness.Fatalf("prometheus exposition missing %q; got:\n%s", want, prom)
 		}
 	}
 
@@ -205,8 +118,8 @@ func main() {
 	}
 	traceID := ""
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline) && traceID == ""; {
-		if err := json.Unmarshal(get(base+"/debug/traces"+query, http.StatusOK), &traces); err != nil {
-			fatalf("decode traces: %v", err)
+		if err := json.Unmarshal(harness.MustGet(base+"/debug/traces"+query, http.StatusOK), &traces); err != nil {
+			harness.Fatalf("decode traces: %v", err)
 		}
 		for _, tr := range traces.Traces {
 			names := make(map[string]bool, len(tr.Spans))
@@ -220,17 +133,17 @@ func main() {
 		time.Sleep(50 * time.Millisecond)
 	}
 	if traceID == "" {
-		fatalf("no batch trace with fleet.batch+chip.lock+journal.commit spans")
+		harness.Fatalf("no batch trace with fleet.batch+chip.lock+journal.commit spans")
 	}
-	if body := get(debugBase+"/debug/traces"+query, http.StatusOK); !strings.Contains(string(body), traceID) {
-		fatalf("debug listener does not serve trace %s", traceID)
+	if body := harness.MustGet(debugBase+"/debug/traces"+query, http.StatusOK); !strings.Contains(string(body), traceID) {
+		harness.Fatalf("debug listener does not serve trace %s", traceID)
 	}
-	if body := get(debugBase+"/debug/pprof/", http.StatusOK); !strings.Contains(string(body), "goroutine") {
-		fatalf("pprof index looks wrong: %s", body)
+	if body := harness.MustGet(debugBase+"/debug/pprof/", http.StatusOK); !strings.Contains(string(body), "goroutine") {
+		harness.Fatalf("pprof index looks wrong: %s", body)
 	}
 
 	// ---- Structured logs: a JSON request line carrying the trace_id. ----
-	stop() // flush on graceful shutdown
+	srv.Stop() // flush on graceful shutdown
 	logged := false
 	for _, line := range strings.Split(logs.String(), "\n") {
 		if line == "" {
@@ -242,14 +155,14 @@ func main() {
 			TraceID string `json:"trace_id"`
 		}
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			fatalf("non-JSON log line %q: %v", line, err)
+			harness.Fatalf("non-JSON log line %q: %v", line, err)
 		}
 		if rec.Msg == "request" && rec.Path == "/v1/ops:batch" && rec.TraceID == traceID {
 			logged = true
 		}
 	}
 	if !logged {
-		fatalf("no structured request log line with trace_id %s; logs:\n%s", traceID, logs.String())
+		harness.Fatalf("no structured request log line with trace_id %s; logs:\n%s", traceID, logs.String())
 	}
 
 	fmt.Printf("obs-smoke: PASS (trace %s spans both listeners, logs join by trace_id)\n", traceID)

@@ -28,77 +28,34 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"time"
 
 	"selfheal/client"
+	"selfheal/scripts/internal/harness"
 )
 
 const httpDeadline = 60 * time.Second
 
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "telemetry-smoke: FAIL: "+format+"\n", args...)
-	os.Exit(1)
-}
-
-func freePort() string {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fatalf("reserve port: %v", err)
-	}
-	defer l.Close()
-	return l.Addr().String()
-}
-
-var hc = &http.Client{Timeout: httpDeadline}
-
-func get(url string) (int, []byte) {
-	resp, err := hc.Get(url)
-	if err != nil {
-		return 0, []byte(err.Error())
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	return resp.StatusCode, raw
-}
-
 type node struct {
+	*harness.Server
 	id      string
-	base    string
-	repl    string
+	addr    string // http listen addr
+	repl    string // repl listen addr
 	dataDir string
-	cmd     *exec.Cmd
 }
 
 func (n *node) start(bin, peers string, extra ...string) {
-	args := append([]string{
-		"-addr", strings.TrimPrefix(n.base, "http://"),
+	n.Server = harness.Start("node "+n.id, bin, n.addr, os.Stdout, os.Stderr, append([]string{
 		"-data", n.dataDir,
 		"-node-id", n.id,
 		"-peers", peers,
 		"-log-level", "error",
 		"-grace", "2s",
-	}, extra...)
-	n.cmd = exec.Command(bin, args...)
-	n.cmd.Stdout, n.cmd.Stderr = os.Stdout, os.Stderr
-	if err := n.cmd.Start(); err != nil {
-		fatalf("start node %s: %v", n.id, err)
-	}
-}
-
-func waitHealthy(name, base string) {
-	for deadline := time.Now().Add(15 * time.Second); time.Now().Before(deadline); {
-		if st, _ := get(base + "/healthz"); st == http.StatusOK {
-			return
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	fatalf("%s never became healthy at %s", name, base)
+	}, extra...)...)
 }
 
 // Minimal views of the wire bodies this smoke reads; decoupled from
@@ -137,26 +94,18 @@ type fleetBody struct {
 }
 
 func fleetOf(base string) fleetBody {
-	st, raw := get(base + "/v1/fleet/telemetry")
-	if st != http.StatusOK {
-		fatalf("GET %s/v1/fleet/telemetry: status %d: %s", base, st, raw)
-	}
 	var fb fleetBody
-	if err := json.Unmarshal(raw, &fb); err != nil {
-		fatalf("decode fleet telemetry: %v", err)
+	if err := json.Unmarshal(harness.MustGet(base+"/v1/fleet/telemetry", http.StatusOK), &fb); err != nil {
+		harness.Fatalf("decode fleet telemetry: %v", err)
 	}
 	return fb
 }
 
 // tracesWith returns the node's retained traces carrying traceID.
 func tracesWith(base, traceID string) []traceView {
-	st, raw := get(base + "/debug/traces?limit=200")
-	if st != http.StatusOK {
-		fatalf("GET %s/debug/traces: status %d: %s", base, st, raw)
-	}
 	var tb tracesBody
-	if err := json.Unmarshal(raw, &tb); err != nil {
-		fatalf("decode traces: %v", err)
+	if err := json.Unmarshal(harness.MustGet(base+"/debug/traces?limit=200", http.StatusOK), &tb); err != nil {
+		harness.Fatalf("decode traces: %v", err)
 	}
 	var hits []traceView
 	for _, tv := range tb.Traces {
@@ -171,37 +120,28 @@ func main() {
 	start := time.Now()
 	race := os.Getenv("TELEMETRY_SMOKE_RACE") == "1"
 
+	harness.Client.Timeout = httpDeadline
+
 	tmp, err := os.MkdirTemp("", "telemetry-smoke-")
 	if err != nil {
-		fatalf("mkdtemp: %v", err)
+		harness.Fatalf("mkdtemp: %v", err)
 	}
 	defer os.RemoveAll(tmp)
-
-	bin := filepath.Join(tmp, "selfheal-serve")
-	buildArgs := []string{"build"}
-	if race {
-		buildArgs = append(buildArgs, "-race")
-	}
-	buildArgs = append(buildArgs, "-o", bin, "./cmd/selfheal-serve")
-	build := exec.Command("go", buildArgs...)
-	build.Stdout, build.Stderr = os.Stdout, os.Stderr
-	if err := build.Run(); err != nil {
-		fatalf("build selfheal-serve (race=%v): %v", race, err)
-	}
+	bin := harness.Build(tmp, race)
 
 	// Three engine-ticking primaries; "a" semisync into a hot standby.
 	nodes := map[string]*node{}
 	for _, id := range []string{"a", "b", "c"} {
 		nodes[id] = &node{
 			id:      id,
-			base:    "http://" + freePort(),
-			repl:    freePort(),
+			addr:    harness.FreePort(),
+			repl:    harness.FreePort(),
 			dataDir: filepath.Join(tmp, "data-"+id),
 		}
 	}
 	peerSpecs := make([]string, 0, 3)
 	for _, id := range []string{"a", "b", "c"} {
-		peerSpecs = append(peerSpecs, id+"="+nodes[id].base)
+		peerSpecs = append(peerSpecs, id+"=http://"+nodes[id].addr)
 	}
 	peers := strings.Join(peerSpecs, ",")
 
@@ -211,31 +151,26 @@ func main() {
 	nodes["c"].start(bin, peers, engineArgs...)
 	defer func() {
 		for _, n := range nodes {
-			if n.cmd != nil && n.cmd.Process != nil {
-				n.cmd.Process.Kill()
-			}
+			n.Kill()
 		}
 	}()
 	for _, id := range []string{"a", "b", "c"} {
-		waitHealthy("node "+id, nodes[id].base)
+		nodes[id].WaitHealthy(15 * time.Second)
 	}
 
-	standby := &node{id: "a", base: "http://" + freePort(), dataDir: filepath.Join(tmp, "data-standby")}
-	standby.start(bin, peers, "-repl-follow", nodes["a"].repl, "-advertise", standby.base)
-	defer func() {
-		if standby.cmd != nil && standby.cmd.Process != nil {
-			standby.cmd.Process.Kill()
-		}
-	}()
-	waitHealthy("standby", standby.base)
+	standby := &node{id: "a", addr: harness.FreePort(), dataDir: filepath.Join(tmp, "data-standby")}
+	standby.start(bin, peers, "-repl-follow", nodes["a"].repl, "-advertise", "http://"+standby.addr)
+	standby.Name = "standby"
+	defer standby.Kill()
+	standby.WaitHealthy(15 * time.Second)
 	fmt.Printf("telemetry-smoke: 3 engine-ticking primaries + standby up (race=%v)\n", race)
 
 	// Chips through the routing client (batch partitions fan out under
 	// one client-minted trace id per call).
-	peerURLs := map[string]string{"a": nodes["a"].base, "b": nodes["b"].base, "c": nodes["c"].base}
+	peerURLs := map[string]string{"a": nodes["a"].Base, "b": nodes["b"].Base, "c": nodes["c"].Base}
 	cl, err := client.NewCluster(peerURLs, 0, client.WithHTTPClient(&http.Client{Timeout: httpDeadline}))
 	if err != nil {
-		fatalf("cluster client: %v", err)
+		harness.Fatalf("cluster client: %v", err)
 	}
 	ctx := context.Background()
 	const chips = 300
@@ -246,7 +181,7 @@ func main() {
 		specs[i] = client.CreateChipRequest{ID: ids[i], Seed: uint64(i + 1), Kind: "monitored"}
 	}
 	if resp, err := cl.BatchCreateChips(ctx, specs); err != nil || resp.Failed != 0 {
-		fatalf("batch create: err=%v failed=%d", err, resp.Failed)
+		harness.Fatalf("batch create: err=%v failed=%d", err, resp.Failed)
 	}
 
 	// Mutations through forwards, under a hand-minted trace: POST the
@@ -262,43 +197,43 @@ func main() {
 		}
 	}
 	if chip == "" {
-		fatalf("every chip hashed to node b; ring is broken")
+		harness.Fatalf("every chip hashed to node b; ring is broken")
 	}
 	buf := make([]byte, 8)
 	if _, err := rand.Read(buf); err != nil {
-		fatalf("mint trace id: %v", err)
+		harness.Fatalf("mint trace id: %v", err)
 	}
 	traceID := hex.EncodeToString(buf)
 	req, err := http.NewRequest(http.MethodPost,
-		nodes[forwarder].base+"/v1/chips/"+chip+"/stress",
+		nodes[forwarder].Base+"/v1/chips/"+chip+"/stress",
 		strings.NewReader(`{"temp_c":80,"vdd":1.0,"hours":0.5}`))
 	if err != nil {
-		fatalf("build stress request: %v", err)
+		harness.Fatalf("build stress request: %v", err)
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set("Traceparent", "00-"+traceID+"-0-01")
-	resp, err := hc.Do(req) // default client follows the 307, replaying headers
+	resp, err := harness.Client.Do(req) // follows the 307, replaying headers
 	if err != nil {
-		fatalf("stress via non-owner: %v", err)
+		harness.Fatalf("stress via non-owner: %v", err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		fatalf("stress via non-owner: status %d: %s", resp.StatusCode, body)
+		harness.Fatalf("stress via non-owner: status %d: %s", resp.StatusCode, body)
 	}
 	if echoed := resp.Header.Get("X-Trace-ID"); echoed != traceID {
-		fatalf("X-Trace-ID echo = %q, want minted id %q", echoed, traceID)
+		harness.Fatalf("X-Trace-ID echo = %q, want minted id %q", echoed, traceID)
 	}
 
 	stitched := 0
 	for _, id := range []string{forwarder, owner} {
-		hits := tracesWith(nodes[id].base, traceID)
+		hits := tracesWith(nodes[id].Base, traceID)
 		if len(hits) == 0 {
-			fatalf("node %s retained no trace with the minted id %s", id, traceID)
+			harness.Fatalf("node %s retained no trace with the minted id %s", id, traceID)
 		}
 		for _, h := range hits {
 			if h.NodeID != id {
-				fatalf("node %s retained trace half labelled %q", id, h.NodeID)
+				harness.Fatalf("node %s retained trace half labelled %q", id, h.NodeID)
 			}
 		}
 		stitched++
@@ -311,7 +246,7 @@ func main() {
 	deadline := time.Now().Add(30 * time.Second)
 	var fb fleetBody
 	for {
-		fb = fleetOf(nodes["a"].base)
+		fb = fleetOf(nodes["a"].Base)
 		ready := len(fb.Nodes) == 3 && fb.StaleNodes == 0
 		for _, n := range fb.Nodes {
 			if n.Telemetry == nil || n.Telemetry.Epoch < 3 ||
@@ -324,7 +259,7 @@ func main() {
 		}
 		if time.Now().After(deadline) {
 			raw, _ := json.Marshal(fb)
-			fatalf("fleet telemetry never converged to 3 fresh nodes: %s", raw)
+			harness.Fatalf("fleet telemetry never converged to 3 fresh nodes: %s", raw)
 		}
 		time.Sleep(200 * time.Millisecond)
 	}
@@ -336,42 +271,38 @@ func main() {
 			}
 		}
 		if !green {
-			fatalf("margin-recovery SLO not green on node %s: %+v", n.NodeID, n.Telemetry.SLO)
+			harness.Fatalf("margin-recovery SLO not green on node %s: %+v", n.NodeID, n.Telemetry.SLO)
 		}
 	}
 	fmt.Printf("telemetry-smoke: fleet telemetry fresh on 3 nodes, margin-recovery SLO green\n")
 
 	// The Prometheus federation branch sees every node.
-	st, raw := get(nodes["b"].base + "/metrics?federate=1")
-	if st != http.StatusOK {
-		fatalf("GET /metrics?federate=1: status %d", st)
-	}
+	raw := harness.MustGet(nodes["b"].Base+"/metrics?federate=1", http.StatusOK)
 	for _, id := range []string{"a", "b", "c"} {
 		want := fmt.Sprintf("telemetry_federate_up{node=%q} 1", id)
 		if !strings.Contains(string(raw), want) {
-			fatalf("/metrics?federate=1 missing %q", want)
+			harness.Fatalf("/metrics?federate=1 missing %q", want)
 		}
 	}
 
 	// Kill "c": the fleet view must mark it stale with an error while
 	// the survivors stay fresh.
-	nodes["c"].cmd.Process.Signal(os.Kill)
-	nodes["c"].cmd.Wait()
-	fb = fleetOf(nodes["a"].base)
+	nodes["c"].Kill()
+	fb = fleetOf(nodes["a"].Base)
 	byID := map[string]nodeTelemetry{}
 	for _, n := range fb.Nodes {
 		byID[n.NodeID] = n
 	}
 	if n := byID["c"]; !n.Stale || n.Error == "" {
-		fatalf("killed node c not marked stale-with-error: %+v", n)
+		harness.Fatalf("killed node c not marked stale-with-error: %+v", n)
 	}
 	for _, id := range []string{"a", "b"} {
 		if byID[id].Stale {
-			fatalf("survivor %s marked stale after c died", id)
+			harness.Fatalf("survivor %s marked stale after c died", id)
 		}
 	}
 	if fb.StaleNodes != 1 {
-		fatalf("stale_nodes = %d after killing c, want 1", fb.StaleNodes)
+		harness.Fatalf("stale_nodes = %d after killing c, want 1", fb.StaleNodes)
 	}
 
 	fmt.Printf("telemetry-smoke: PASS in %.1fs (race=%v)\n", time.Since(start).Seconds(), race)
