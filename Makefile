@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race perfbench bench bench-engine obs-smoke engine-smoke guard-smoke cluster-smoke telemetry-smoke serve
+.PHONY: check fmt vet build test race perfbench loc bench bench-engine obs-smoke engine-smoke guard-smoke cluster-smoke telemetry-smoke serve
 
 ## check: everything CI needs — gofmt, vet, build, tests with the race
 ## detector, and perfbench's own vet and tests
@@ -28,6 +28,15 @@ race:
 ## the next benchmark run
 perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+## loc: the code-size figure simplicity changes report — non-test Go
+## lines outside perfbench/, raw and without blank and comment-only
+## lines. It prints and gates nothing.
+loc:
+	@files="$$(find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.*')"; \
+	raw=$$(cat $$files | wc -l); \
+	code=$$(cat $$files | grep -v '^[[:space:]]*$$' | grep -cv '^[[:space:]]*//'); \
+	echo "non-test Go lines outside perfbench/: $$raw raw, $$code without blank and comment-only lines"
 
 ## bench: one pass over every paper artifact, the service cache benchmark,
 ## the registry contention benchmark (single-mutex vs sharded), and the

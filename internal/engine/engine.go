@@ -20,8 +20,9 @@
 // an immutable Snapshot via atomic pointer swap, so reads are
 // wait-free, never block the tick, and always observe one consistent
 // epoch across all partitions. Writes (register, remove, condition and
-// schedule changes) are enqueued as events; a pump goroutine applies
-// them between epochs under the tick lock.
+// schedule changes) run on the caller's goroutine under the tick lock,
+// so they land between epochs, and republish the snapshot before they
+// return.
 //
 // # Per-epoch hooks
 //
@@ -40,12 +41,16 @@
 // as the fleet: registrations, removals, condition/schedule changes,
 // and one coalesced OpEngineEpoch record per flush window (the epoch
 // count plus the per-epoch simulated hours). Replay re-runs the
-// records in order and lands on the exact pre-shutdown state. Two
-// ordering invariants make this exact:
+// records in order and lands on the exact pre-shutdown state. Three
+// rules make this exact:
 //
-//  1. Events only apply under the tick lock, never mid-epoch.
-//  2. Pending epochs are flushed to the journal *before* any event
-//     record commits, so journal order equals application order.
+//  1. Writes only apply under the tick lock, never mid-epoch.
+//  2. Pending epochs are flushed to the journal *before* any write's
+//     record commits, and the writer holds the tick lock from the flush
+//     to the apply, so journal order equals application order.
+//  3. A write applies its durable records with applyRecord, the code
+//     replay runs, and a batch may name a chip only once, because its
+//     records commit concurrently.
 //
 // Chips registered on behalf of fleet chips commit OpEngineReg records
 // of their own (kind "fleet"); a fleet delete prunes the chip's engine
@@ -53,8 +58,10 @@
 //
 // # Lock hierarchy
 //
-// tick lock → partition lock → nothing. The store's chip→shard order
-// is never entered with engine locks held: the engine commits through
+// tick lock → nothing. The tick lock guards every partition: writers
+// and snapshot publication hold it, and within a tick each worker
+// touches only the partitions it claimed. The store's chip→shard order
+// is never entered with the tick lock held: the engine commits through
 // the journal only (no store map access), and handlers reading
 // snapshots take no locks at all. See internal/store for the canonical
 // fleet hierarchy; DESIGN.md states the combined ordering.
@@ -100,8 +107,7 @@ type Config struct {
 	// flushes (default 16). Smaller = less simulated time lost on a
 	// crash, more journal records.
 	FlushEpochs int
-	Tracer      *obs.Tracer // when set, every TraceEvery-th tick is traced
-	TraceEvery  int         // default 64
+	Tracer      *obs.Tracer // when set, every traceEvery-th tick is traced
 	// OnEpoch, when set, is called after every successfully completed
 	// tick with the new epoch number, the snapshot it published, and
 	// prev, the one the previous successful tick published — nil on the
@@ -127,7 +133,7 @@ type Spec struct {
 }
 
 // Cond is a chip's phase + condition + duty, the payload of a
-// condition-change event.
+// condition change.
 type Cond struct {
 	Phase string
 	TempC float64
@@ -145,7 +151,11 @@ type Schedule struct {
 	SleepVdd     float64
 }
 
-// RegResult reports one item of a RegisterBatch.
+// traceEvery is how often a Tracer sees a tick: the first and then every
+// 64th.
+const traceEvery = 64
+
+// RegResult reports one item of a batch write.
 type RegResult struct {
 	ID  string
 	Err error
@@ -166,8 +176,10 @@ type Stats struct {
 	ChipsPerSecond  float64 `json:"chips_per_second"`
 	LastTickSeconds float64 `json:"last_tick_seconds"`
 	TicksTotal      uint64  `json:"ticks_total"`
-	EventsPending   int     `json:"events_pending"`
-	EventsApplied   uint64  `json:"events_applied"`
+	// EventsPending counts writers waiting for the tick lock;
+	// EventsApplied counts completed writes.
+	EventsPending int    `json:"events_pending"`
+	EventsApplied uint64 `json:"events_applied"`
 	// PendingEpochs counts epochs advanced but not yet journaled (lost
 	// on a crash; bounded by FlushEpochs while the journal is healthy).
 	PendingEpochs  uint64 `json:"pending_epochs"`
@@ -187,22 +199,23 @@ type Engine struct {
 	flushEvery uint64
 	workers    int
 	tracer     *obs.Tracer
-	traceEvery uint64
 	onEpoch    func(epoch uint64, snap, prev *Snapshot)
 
-	// tickMu serializes epoch advancement, event application, journal
-	// flushes, and snapshot publication — events never land mid-epoch.
+	// tickMu serializes epoch advancement, writes, journal flushes, and
+	// snapshot publication — writes never land mid-epoch — and guards
+	// every partition and the fields below.
 	tickMu        sync.Mutex
 	parts         [store.ShardCount]*partition
 	epoch         uint64
 	simHours      float64
 	pendingEpochs uint64
 	tickSnap      *Snapshot // published by the last successful tick
+	closed        bool      // set by Close; later writes get ErrClosed
 
-	snap  atomic.Pointer[Snapshot]
-	chips atomic.Int64
+	snap    atomic.Pointer[Snapshot]
+	chips   atomic.Int64
+	waiting atomic.Int64 // writers waiting for tickMu
 
-	events    chan *event
 	closedc   chan struct{}
 	closeOnce sync.Once
 	closeErr  error
@@ -220,8 +233,8 @@ type Engine struct {
 
 // New assembles an engine over the journal, replaying its engine
 // records (registrations, condition/schedule changes, coalesced epoch
-// advances) to land on the exact pre-shutdown state, then starts the
-// event pump. The wall-clock ticker waits for Start.
+// advances) to land on the exact pre-shutdown state. The wall-clock
+// ticker waits for Start.
 func New(j Journal, cfg Config) (*Engine, error) {
 	if cfg.EpochHours == 0 {
 		cfg.EpochHours = 0.5
@@ -234,9 +247,6 @@ func New(j Journal, cfg Config) (*Engine, error) {
 	}
 	if cfg.FlushEpochs < 1 {
 		cfg.FlushEpochs = 16
-	}
-	if cfg.TraceEvery < 1 {
-		cfg.TraceEvery = 64
 	}
 	zero := td.Params{}
 	if cfg.Params == zero {
@@ -254,9 +264,7 @@ func New(j Journal, cfg Config) (*Engine, error) {
 		flushEvery: uint64(cfg.FlushEpochs),
 		workers:    cfg.Workers,
 		tracer:     cfg.Tracer,
-		traceEvery: uint64(cfg.TraceEvery),
 		onEpoch:    cfg.OnEpoch,
-		events:     make(chan *event, 256),
 		closedc:    make(chan struct{}),
 	}
 	for i := range e.parts {
@@ -266,8 +274,6 @@ func New(j Journal, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e.publishSnapshotLocked()
-	e.wg.Add(1)
-	go e.pump()
 	return e, nil
 }
 
@@ -282,6 +288,7 @@ func (e *Engine) Start() {
 }
 
 // replay re-applies the journal's engine records in sequence order.
+// Live writes apply their records through applyRecord too.
 func (e *Engine) replay() error {
 	for _, rec := range e.j.Replay() {
 		if err := e.applyRecord(rec); err != nil {
@@ -387,7 +394,7 @@ func (e *Engine) tickLocked(ctx context.Context) (epoch uint64, snap, prev *Snap
 
 	n := e.ticks.Add(1)
 	var sp *obs.Span
-	if e.tracer != nil && n%e.traceEvery == 1 {
+	if e.tracer != nil && n%traceEvery == 1 {
 		ctx, sp = e.tracer.Start(ctx, "engine.tick")
 		sp.Annotate(obs.Int("epoch", int(e.epoch+1)), obs.Int("chips", int(e.chips.Load())))
 		defer sp.End()
@@ -510,7 +517,7 @@ func (e *Engine) Stats() Stats {
 		ChipsPerSecond:  math.Float64frombits(e.cpsBits.Load()),
 		LastTickSeconds: time.Duration(e.lastTickNanos.Load()).Seconds(),
 		TicksTotal:      e.ticks.Load(),
-		EventsPending:   len(e.events),
+		EventsPending:   int(e.waiting.Load()),
 		EventsApplied:   e.eventsApplied.Load(),
 		CommitErrors:    e.commitErrors.Load(),
 		ReplayedEpochs:  e.replayedEpochs,
@@ -524,16 +531,18 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
-// ErrClosed is returned by mutations after Close.
+// ErrClosed is returned by writes after Close.
 var ErrClosed = errors.New("engine: closed")
 
-// Close stops the ticker and the event pump, flushes any pending epoch
-// window, and returns the final flush's verdict. Safe to call twice.
+// Close stops the ticker, refuses later writes, flushes any pending
+// epoch window, and returns the final flush's verdict. Safe to call
+// twice.
 func (e *Engine) Close() error {
 	e.closeOnce.Do(func() {
 		close(e.closedc)
 		e.wg.Wait()
 		e.tickMu.Lock()
+		e.closed = true
 		e.closeErr = e.flushLocked(context.Background())
 		e.tickMu.Unlock()
 	})

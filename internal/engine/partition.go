@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"sync"
-
 	"selfheal/internal/td"
 	"selfheal/internal/units"
 )
@@ -55,12 +53,11 @@ type chipMeta struct {
 
 // partition is one 32nd of the engine's fleet, aligned with the store
 // shard of the chip id (store.ShardOf), so engine partition traffic
-// and store shard traffic stripe identically. All fields are guarded
-// by mu; the tick's worker pool locks one partition at a time and the
-// event path locks the target partition while holding the engine's
-// tick lock.
+// and store shard traffic stripe identically. It has no lock of its
+// own: writers and snapshot publication hold the engine's tick lock,
+// and during a tick each worker advances only the partitions it
+// claimed.
 type partition struct {
-	mu    sync.Mutex
 	batch *td.Batch
 	meta  []chipMeta
 	odo   []uint64 // stress epochs endured — the engine's aging odometer
@@ -306,8 +303,6 @@ func tdClass(key classKey, idx []int) td.Class {
 // wheel's due transitions, advance every condition class through the
 // vectorized batch path, and tick the stress odometers.
 func (p *partition) advance(params td.Params, dt units.Seconds) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.wheel.step(p.fire)
 	cs := p.tdScratch[:0]
 	for _, c := range p.classes {
@@ -330,7 +325,3 @@ func (p *partition) advance(params td.Params, dt units.Seconds) error {
 	}
 	return nil
 }
-
-// len reports the partition's chip count (callers hold mu or are
-// single-threaded during replay).
-func (p *partition) size() int { return p.batch.Len() }

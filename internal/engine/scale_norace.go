@@ -9,4 +9,7 @@ package engine
 const (
 	acceptChips  = 100_000
 	acceptEpochs = 1000
+	// TestConcurrentWritesReplayExact's writer goroutines and rounds.
+	replayWriters = 6
+	replayRounds  = 30
 )

@@ -7,4 +7,7 @@ package engine
 const (
 	acceptChips  = 4096
 	acceptEpochs = 64
+	// TestConcurrentWritesReplayExact's writer goroutines and rounds.
+	replayWriters = 3
+	replayRounds  = 12
 )

@@ -9,9 +9,8 @@ import (
 )
 
 // Snapshot is one immutable per-epoch view of the whole fleet,
-// published by atomic pointer swap after every tick (and after
-// membership-changing events, so a registration is readable without
-// waiting for the next epoch). Readers share it wait-free; all
+// published by atomic pointer swap after every tick and every write,
+// so a write is readable without waiting for the next epoch. Readers share it wait-free; all
 // partitions in one snapshot are at the same epoch.
 type Snapshot struct {
 	Epoch    uint64
@@ -134,13 +133,11 @@ func (s *Snapshot) TopByOdometer(k int) []ChipView {
 }
 
 // publishSnapshotLocked builds and publishes a fresh snapshot. Callers
-// hold tickMu; partition locks are taken one at a time (tick → part,
-// the engine's lock order).
+// hold tickMu.
 func (e *Engine) publishSnapshotLocked() {
 	s := &Snapshot{Epoch: e.epoch, SimHours: e.simHours, Taken: time.Now()}
 	total := 0
 	for pi, p := range e.parts {
-		p.mu.Lock()
 		n := p.batch.Len()
 		pv := PartView{
 			IDs:   p.ids,
@@ -157,7 +154,6 @@ func (e *Engine) publishSnapshotLocked() {
 			pv.Phase[i] = p.meta[i].phase
 			pv.Duty[i] = p.batch.Duty(i)
 		}
-		p.mu.Unlock()
 		s.Parts[pi] = pv
 		total += n
 	}

@@ -2,13 +2,12 @@ package fleet
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"selfheal/internal/obs"
 )
 
-// Batch op names accepted by OpSpec.Op.
+// Op names accepted by OpSpec.Op.
 const (
 	BatchOpStress     = "stress"
 	BatchOpRejuvenate = "rejuvenate"
@@ -16,8 +15,9 @@ const (
 	BatchOpOdometer   = "odometer"
 )
 
-// OpSpec is one item of a mixed-operation batch: an op name, the
-// target chip, and (for the phase ops) the embedded phase parameters.
+// OpSpec is one chip operation — a Service.Apply call or an item of a
+// mixed-operation batch: an op name, the target chip, and (for the
+// phase ops) the embedded phase parameters.
 type OpSpec struct {
 	Op string `json:"op"`
 	ID string `json:"id"`
@@ -38,7 +38,7 @@ type CreateResult struct {
 	Err   error         `json:"-"`
 }
 
-// OpResult reports one item of a mixed-operation batch. On success the
+// OpResult reports one chip operation (see OpSpec). On success the
 // field matching the op is set (Phase for stress/rejuvenate, Reading
 // for measure, Odometer for odometer); on failure Error carries the
 // message and Err the typed error.
@@ -92,48 +92,12 @@ func (s *Service) ApplyBatch(ctx context.Context, specs []OpSpec) []OpResult {
 	defer batch.End()
 	results := make([]OpResult, len(specs))
 	s.runBatch(bctx, batch, len(specs), func(ictx context.Context, i int) {
-		results[i] = s.applyOp(ictx, specs[i])
+		results[i] = s.Apply(ictx, specs[i])
 	}, func(i int, err error) {
 		cerr := CanceledError{Err: err}
 		results[i] = OpResult{Op: specs[i].Op, ID: specs[i].ID, Err: cerr, Error: cerr.Error(), Code: CodeCanceled}
 	})
 	return results
-}
-
-// applyOp dispatches one batch item to the matching chip operation.
-func (s *Service) applyOp(ctx context.Context, spec OpSpec) OpResult {
-	res := OpResult{Op: spec.Op, ID: spec.ID}
-	var err error
-	switch spec.Op {
-	case BatchOpStress:
-		var phase PhaseResponse
-		if phase, err = s.Stress(ctx, spec.ID, spec.PhaseRequest); err == nil {
-			res.Phase = &phase
-		}
-	case BatchOpRejuvenate:
-		var phase PhaseResponse
-		if phase, err = s.Rejuvenate(ctx, spec.ID, spec.PhaseRequest); err == nil {
-			res.Phase = &phase
-		}
-	case BatchOpMeasure:
-		var reading ReadingResponse
-		if reading, err = s.Measure(ctx, spec.ID); err == nil {
-			res.Reading = &reading
-		}
-	case BatchOpOdometer:
-		var odo OdometerResponse
-		if odo, err = s.Odometer(ctx, spec.ID); err == nil {
-			res.Odometer = &odo
-		}
-	default:
-		err = fmt.Errorf("fleet: unknown batch op %q (want %q, %q, %q or %q)",
-			spec.Op, BatchOpStress, BatchOpRejuvenate, BatchOpMeasure, BatchOpOdometer)
-	}
-	if err != nil {
-		res.Err = err
-		res.Error = err.Error()
-	}
-	return res
 }
 
 // runBatch fans n items out over the worker pool. run(ictx, i)

@@ -168,154 +168,99 @@ func (e *ChipEntry) lock(ctx context.Context) {
 	sp.End()
 }
 
-// Stress ages the chip under its per-chip lock and commits the store
-// record before the lock is released. A commit failure is reported as
-// NotDurableError: the in-memory state has advanced (aging cannot be
-// rolled back) but the operation will not survive a restart.
-func (e *ChipEntry) Stress(ctx context.Context, req PhaseRequest, commit func() error) (PhaseResponse, error) {
-	cond := selfheal.StressCondition{TempC: req.TempC, Vdd: req.Vdd, AC: req.AC}
+// apply runs one chip operation — the shared skeleton of stress,
+// rejuvenate, measure and odometer. It takes the chip lock, refuses a
+// deleted or quarantined chip or a sensor read the chip's kind lacks,
+// simulates, and commits the record before the lock is released, so
+// the persisted order always matches the order the operations were
+// applied in. Sensor reads are mutations in disguise (sampling ages the
+// die and consumes noise draws), so they commit, and quarantine refuses
+// them, like the phases. A commit failure is a NotDurableError: the
+// in-memory state has advanced (aging cannot be rolled back) but the
+// operation will not survive a restart.
+func (e *ChipEntry) apply(ctx context.Context, spec OpSpec, res *OpResult, commit func() error) error {
 	e.lock(ctx)
 	defer e.mu.Unlock()
-	if e.deleted {
-		return PhaseResponse{}, NotFoundError{ID: e.id}
-	}
-	if e.quarantined {
-		return PhaseResponse{}, QuarantinedError{ID: e.id, Reason: e.quarReason}
-	}
-	_, sim := obs.StartSpan(ctx, "chip.stress", obs.String("chip_id", e.id))
-	resp := PhaseResponse{ID: e.id, Phase: "stress", Hours: req.Hours}
-	if e.bench != nil {
-		trace, err := e.bench.Stress(cond, req.Hours, req.SampleHours)
-		if err != nil {
-			sim.SetError(err)
-			sim.End()
-			return PhaseResponse{}, err
-		}
-		resp.Trace = NewTracePoints(trace)
-	} else if err := e.mon.Stress(cond, req.Hours); err != nil {
-		sim.SetError(err)
-		sim.End()
-		return PhaseResponse{}, err
-	}
-	sim.End()
-	e.stressSeconds += req.Hours * 3600
-	e.ops++
-	if commit != nil {
-		if err := commit(); err != nil {
-			return PhaseResponse{}, NotDurableError{Op: "stress", Err: err}
-		}
-	}
-	return resp, nil
-}
-
-// Rejuvenate heals the chip under its per-chip lock; commit semantics
-// match Stress.
-func (e *ChipEntry) Rejuvenate(ctx context.Context, req PhaseRequest, commit func() error) (PhaseResponse, error) {
-	cond := selfheal.SleepCondition{TempC: req.TempC, Vdd: req.Vdd}
-	e.lock(ctx)
-	defer e.mu.Unlock()
-	if e.deleted {
-		return PhaseResponse{}, NotFoundError{ID: e.id}
-	}
-	if e.quarantined {
-		return PhaseResponse{}, QuarantinedError{ID: e.id, Reason: e.quarReason}
-	}
-	_, sim := obs.StartSpan(ctx, "chip.rejuvenate", obs.String("chip_id", e.id))
-	resp := PhaseResponse{ID: e.id, Phase: "rejuvenate", Hours: req.Hours}
-	if e.bench != nil {
-		trace, err := e.bench.Rejuvenate(cond, req.Hours, req.SampleHours)
-		if err != nil {
-			sim.SetError(err)
-			sim.End()
-			return PhaseResponse{}, err
-		}
-		resp.Trace = NewTracePoints(trace)
-	} else if err := e.mon.Rejuvenate(cond, req.Hours); err != nil {
-		sim.SetError(err)
-		sim.End()
-		return PhaseResponse{}, err
-	}
-	sim.End()
-	e.healSeconds += req.Hours * 3600
-	e.ops++
-	if commit != nil {
-		if err := commit(); err != nil {
-			return PhaseResponse{}, NotDurableError{Op: "rejuvenate", Err: err}
-		}
-	}
-	return resp, nil
-}
-
-// Measure reads a bench chip's ring-oscillator sensor. The read is a
-// mutation in disguise — sampling ages the die and consumes noise
-// draws — so it commits through the store like the phase operations.
-func (e *ChipEntry) Measure(ctx context.Context, commit func() error) (ReadingResponse, error) {
-	e.lock(ctx)
-	defer e.mu.Unlock()
-	if e.deleted {
-		return ReadingResponse{}, NotFoundError{ID: e.id}
-	}
-	if e.quarantined {
-		// Sensor reads are mutations in disguise (they age the die and
-		// are journaled), so quarantine refuses them too; the reads that
-		// keep serving are the ones over already-materialized state.
-		return ReadingResponse{}, QuarantinedError{ID: e.id, Reason: e.quarReason}
-	}
-	if e.bench == nil {
-		return ReadingResponse{}, fmt.Errorf(
+	switch {
+	case e.deleted:
+		return NotFoundError{ID: e.id}
+	case e.quarantined:
+		return QuarantinedError{ID: e.id, Reason: e.quarReason}
+	case spec.Op == BatchOpMeasure && e.bench == nil:
+		return fmt.Errorf(
 			"fleet: chip %q is %q — use /odometer for its on-die sensor: %w", e.id, e.kind, ErrKindMismatch)
-	}
-	_, sim := obs.StartSpan(ctx, "chip.measure", obs.String("chip_id", e.id))
-	r, err := e.bench.Measure()
-	sim.SetError(err)
-	sim.End()
-	if err != nil {
-		return ReadingResponse{}, err
-	}
-	e.ops++
-	e.lastMeasure = &measureReading{delayNS: r.DelayNS, degradationPct: r.DegradationPct}
-	if commit != nil {
-		if err := commit(); err != nil {
-			return ReadingResponse{}, NotDurableError{Op: "measure", Err: err}
-		}
-	}
-	return ReadingResponse{
-		ID:             e.id,
-		Counts:         r.Counts,
-		FrequencyHz:    r.FrequencyHz,
-		DelayNS:        r.DelayNS,
-		DegradationPct: r.DegradationPct,
-	}, nil
-}
-
-// Odometer reads a monitored chip's differential aging sensor; commit
-// semantics match Measure.
-func (e *ChipEntry) Odometer(ctx context.Context, commit func() error) (OdometerResponse, error) {
-	e.lock(ctx)
-	defer e.mu.Unlock()
-	if e.deleted {
-		return OdometerResponse{}, NotFoundError{ID: e.id}
-	}
-	if e.quarantined {
-		return OdometerResponse{}, QuarantinedError{ID: e.id, Reason: e.quarReason}
-	}
-	if e.mon == nil {
-		return OdometerResponse{}, fmt.Errorf(
+	case spec.Op == BatchOpOdometer && e.mon == nil:
+		return fmt.Errorf(
 			"fleet: chip %q is %q — use /measure for its bench read-out: %w", e.id, e.kind, ErrKindMismatch)
 	}
-	_, sim := obs.StartSpan(ctx, "chip.odometer", obs.String("chip_id", e.id))
-	r, err := e.mon.Read()
+	_, sim := obs.StartSpan(ctx, "chip."+spec.Op, obs.String("chip_id", e.id))
+	err := e.simulate(spec, res)
 	sim.SetError(err)
 	sim.End()
 	if err != nil {
-		return OdometerResponse{}, err
+		return err
 	}
 	e.ops++
-	e.lastOdometer = &odometerReading{beatHz: r.BeatHz, degradationPPM: r.DegradationPPM}
 	if commit != nil {
 		if err := commit(); err != nil {
-			return OdometerResponse{}, NotDurableError{Op: "odometer", Err: err}
+			return NotDurableError{Op: spec.Op, Err: err}
 		}
 	}
-	return OdometerResponse{ID: e.id, BeatHz: r.BeatHz, DegradationPPM: r.DegradationPPM}, nil
+	return nil
+}
+
+// simulate runs spec on the die, books its usage and fills the op's
+// field of res. Callers hold e.mu.
+func (e *ChipEntry) simulate(spec OpSpec, res *OpResult) error {
+	var trace []selfheal.TracePoint
+	var err error
+	switch spec.Op {
+	case BatchOpStress:
+		cond := selfheal.StressCondition{TempC: spec.TempC, Vdd: spec.Vdd, AC: spec.AC}
+		if e.bench != nil {
+			trace, err = e.bench.Stress(cond, spec.Hours, spec.SampleHours)
+		} else {
+			err = e.mon.Stress(cond, spec.Hours)
+		}
+		if err != nil {
+			return err
+		}
+		e.stressSeconds += spec.Hours * 3600
+	case BatchOpRejuvenate:
+		cond := selfheal.SleepCondition{TempC: spec.TempC, Vdd: spec.Vdd}
+		if e.bench != nil {
+			trace, err = e.bench.Rejuvenate(cond, spec.Hours, spec.SampleHours)
+		} else {
+			err = e.mon.Rejuvenate(cond, spec.Hours)
+		}
+		if err != nil {
+			return err
+		}
+		e.healSeconds += spec.Hours * 3600
+	case BatchOpMeasure:
+		r, err := e.bench.Measure()
+		if err != nil {
+			return err
+		}
+		e.lastMeasure = &measureReading{delayNS: r.DelayNS, degradationPct: r.DegradationPct}
+		res.Reading = &ReadingResponse{
+			ID:             e.id,
+			Counts:         r.Counts,
+			FrequencyHz:    r.FrequencyHz,
+			DelayNS:        r.DelayNS,
+			DegradationPct: r.DegradationPct,
+		}
+		return nil
+	case BatchOpOdometer:
+		r, err := e.mon.Read()
+		if err != nil {
+			return err
+		}
+		e.lastOdometer = &odometerReading{beatHz: r.BeatHz, degradationPPM: r.DegradationPPM}
+		res.Odometer = &OdometerResponse{ID: e.id, BeatHz: r.BeatHz, DegradationPPM: r.DegradationPPM}
+		return nil
+	}
+	// Stress and rejuvenate report the phase they ran.
+	res.Phase = &PhaseResponse{ID: e.id, Phase: spec.Op, Hours: spec.Hours, Trace: NewTracePoints(trace)}
+	return nil
 }

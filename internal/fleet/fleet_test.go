@@ -128,8 +128,8 @@ func TestCreateRollbackVisibleToWaiters(t *testing.T) {
 		}
 		close(waiterReady)
 		// Blocks on the chip lock until Create's rollback releases it.
-		_, err := e.Stress(context.Background(), PhaseRequest{TempC: 100, Vdd: 0.9, Hours: 1}, nil)
-		waiterErr <- err
+		waiterErr <- e.apply(context.Background(), OpSpec{Op: BatchOpStress, ID: "c0",
+			PhaseRequest: PhaseRequest{TempC: 100, Vdd: 0.9, Hours: 1}}, &OpResult{}, nil)
 	}()
 
 	_, err = s.Create(context.Background(), CreateSpec{ID: "c0", Seed: 1, Kind: KindBench})

@@ -59,10 +59,6 @@ func NewService(st Store, opts ...Option) (*Service, error) {
 
 // applyRecord re-runs one persisted operation without re-committing it.
 func (s *Service) applyRecord(rec store.Record) error {
-	phase := PhaseRequest{
-		TempC: rec.TempC, Vdd: rec.Vdd, AC: rec.AC,
-		Hours: rec.Hours, SampleHours: rec.SampleHours,
-	}
 	switch rec.Op {
 	case store.OpCreate:
 		entry, err := newChipEntry(CreateSpec{ID: rec.ID, Seed: rec.Seed, Kind: rec.Kind})
@@ -73,32 +69,13 @@ func (s *Service) applyRecord(rec store.Record) error {
 			return DuplicateError{ID: rec.ID}
 		}
 		return nil
-	case store.OpStress, store.OpRejuvenate:
-		entry, ok := s.st.Lookup(rec.ID)
-		if !ok {
-			return NotFoundError{ID: rec.ID}
-		}
-		var err error
-		if rec.Op == store.OpStress {
-			_, err = entry.Stress(context.Background(), phase, nil)
-		} else {
-			_, err = entry.Rejuvenate(context.Background(), phase, nil)
-		}
-		return err
-	case store.OpMeasure, store.OpOdometer:
-		// Sensor reads age the die and consume noise draws; re-run them
-		// (discarding the reading) so the RNG stream lines up exactly.
-		entry, ok := s.st.Lookup(rec.ID)
-		if !ok {
-			return NotFoundError{ID: rec.ID}
-		}
-		var err error
-		if rec.Op == store.OpMeasure {
-			_, err = entry.Measure(context.Background(), nil)
-		} else {
-			_, err = entry.Odometer(context.Background(), nil)
-		}
-		return err
+	case store.OpStress, store.OpRejuvenate, store.OpMeasure, store.OpOdometer:
+		// Sensor reads age the die and consume noise draws; they re-run
+		// too (discarding the reading) so the RNG stream lines up exactly.
+		return s.apply(context.Background(), OpSpec{Op: string(rec.Op), ID: rec.ID, PhaseRequest: PhaseRequest{
+			TempC: rec.TempC, Vdd: rec.Vdd, AC: rec.AC,
+			Hours: rec.Hours, SampleHours: rec.SampleHours,
+		}}, false).Err
 	case store.OpDelete:
 		_, err := s.delete(context.Background(), rec.ID, nil)
 		return err
@@ -268,48 +245,83 @@ func (s *Service) QuarantinedIDs() []string {
 	return out
 }
 
-// Stress ages a chip; see ChipEntry.Stress for the commit semantics.
+// Apply runs one chip operation — stress, rejuvenate, measure or
+// odometer — and commits its record before the chip lock is released
+// (see ChipEntry.apply). It is the fleet's one op dispatch: the
+// single-chip routes, batch items and replay all run through it.
+func (s *Service) Apply(ctx context.Context, spec OpSpec) OpResult {
+	return s.apply(ctx, spec, true)
+}
+
+// apply is Apply with the commit optional, so replay can re-run a
+// persisted operation without committing it again.
+func (s *Service) apply(ctx context.Context, spec OpSpec, commit bool) OpResult {
+	res := OpResult{Op: spec.Op, ID: spec.ID}
+	if err := s.applyOp(ctx, spec, commit, &res); err != nil {
+		return OpResult{Op: spec.Op, ID: spec.ID, Err: err, Error: err.Error()}
+	}
+	return res
+}
+
+// applyOp builds spec's journal record, finds the chip and runs the op
+// on it, committing the record when commit is set.
+func (s *Service) applyOp(ctx context.Context, spec OpSpec, commit bool, res *OpResult) error {
+	rec := store.Record{Op: store.Op(spec.Op), ID: spec.ID}
+	switch spec.Op {
+	case BatchOpStress:
+		rec.AC = spec.AC
+		fallthrough
+	case BatchOpRejuvenate:
+		rec.TempC, rec.Vdd, rec.Hours, rec.SampleHours = spec.TempC, spec.Vdd, spec.Hours, spec.SampleHours
+	case BatchOpMeasure, BatchOpOdometer:
+	default:
+		return fmt.Errorf("fleet: unknown batch op %q (want %q, %q, %q or %q)",
+			spec.Op, BatchOpStress, BatchOpRejuvenate, BatchOpMeasure, BatchOpOdometer)
+	}
+	entry, ok := s.lookup(ctx, spec.ID)
+	if !ok {
+		return NotFoundError{ID: spec.ID}
+	}
+	var commitFn func() error
+	if commit {
+		commitFn = s.commit(ctx, rec)
+	}
+	return entry.apply(ctx, spec, res, commitFn)
+}
+
+// value unpacks the field of an OpResult its op fills: the value, or
+// the zero value and the op's error.
+func value[T any](v *T, err error) (T, error) {
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return *v, nil
+}
+
+// Stress ages a chip through Apply.
 func (s *Service) Stress(ctx context.Context, id string, req PhaseRequest) (PhaseResponse, error) {
-	entry, ok := s.lookup(ctx, id)
-	if !ok {
-		return PhaseResponse{}, NotFoundError{ID: id}
-	}
-	return entry.Stress(ctx, req, s.commit(ctx, store.Record{
-		Op: store.OpStress, ID: id,
-		TempC: req.TempC, Vdd: req.Vdd, AC: req.AC,
-		Hours: req.Hours, SampleHours: req.SampleHours,
-	}))
+	r := s.Apply(ctx, OpSpec{Op: BatchOpStress, ID: id, PhaseRequest: req})
+	return value(r.Phase, r.Err)
 }
 
-// Rejuvenate heals a chip; commit semantics match Stress.
+// Rejuvenate heals a chip through Apply.
 func (s *Service) Rejuvenate(ctx context.Context, id string, req PhaseRequest) (PhaseResponse, error) {
-	entry, ok := s.lookup(ctx, id)
-	if !ok {
-		return PhaseResponse{}, NotFoundError{ID: id}
-	}
-	return entry.Rejuvenate(ctx, req, s.commit(ctx, store.Record{
-		Op: store.OpRejuvenate, ID: id,
-		TempC: req.TempC, Vdd: req.Vdd,
-		Hours: req.Hours, SampleHours: req.SampleHours,
-	}))
+	r := s.Apply(ctx, OpSpec{Op: BatchOpRejuvenate, ID: id, PhaseRequest: req})
+	return value(r.Phase, r.Err)
 }
 
-// Measure reads a bench chip's ring-oscillator sensor.
+// Measure reads a bench chip's ring-oscillator sensor through Apply.
 func (s *Service) Measure(ctx context.Context, id string) (ReadingResponse, error) {
-	entry, ok := s.lookup(ctx, id)
-	if !ok {
-		return ReadingResponse{}, NotFoundError{ID: id}
-	}
-	return entry.Measure(ctx, s.commit(ctx, store.Record{Op: store.OpMeasure, ID: id}))
+	r := s.Apply(ctx, OpSpec{Op: BatchOpMeasure, ID: id})
+	return value(r.Reading, r.Err)
 }
 
-// Odometer reads a monitored chip's differential aging sensor.
+// Odometer reads a monitored chip's differential aging sensor through
+// Apply.
 func (s *Service) Odometer(ctx context.Context, id string) (OdometerResponse, error) {
-	entry, ok := s.lookup(ctx, id)
-	if !ok {
-		return OdometerResponse{}, NotFoundError{ID: id}
-	}
-	return entry.Odometer(ctx, s.commit(ctx, store.Record{Op: store.OpOdometer, ID: id}))
+	r := s.Apply(ctx, OpSpec{Op: BatchOpOdometer, ID: id})
+	return value(r.Odometer, r.Err)
 }
 
 // List returns every chip's ChipResponse sorted by id.

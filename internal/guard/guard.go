@@ -162,7 +162,7 @@ func (g *Guard) adoptQuarantined(ctx context.Context, epoch uint64, snap *engine
 }
 
 // applyAdversary picks victims on first sight, then applies the red
-// team's decided actions through the engine's batch events — gated,
+// team's decided actions through the engine's batch writes — gated,
 // like any other mutation, on the quarantine: blocked moves are
 // reported back to the adversary's counters instead of applied.
 func (g *Guard) applyAdversary(ctx context.Context, epoch uint64, snap *engine.Snapshot) {
@@ -232,6 +232,18 @@ func (g *Guard) candidates(snap *engine.Snapshot) []string {
 	return ids
 }
 
+// holdable reports whether the guard may quarantine a chip: with a
+// fleet wired only fleet chips, whose hold the fleet journals and
+// enforces (the set candidates draws from); every chip otherwise. An
+// outlier it may not hold keeps raising alerts.
+func (g *Guard) holdable(id string) bool {
+	if g.d.Fleet == nil {
+		return true
+	}
+	_, ok := g.d.Fleet.Get(id)
+	return ok
+}
+
 // blocked reports whether the quarantine refuses mutations on a chip.
 func (g *Guard) blocked(id string) bool {
 	if st := g.states[id]; st != nil && st.quarantined {
@@ -293,7 +305,7 @@ func (g *Guard) observe(ctx context.Context, epoch uint64, r *engine.Reduction) 
 					Detail: fmt.Sprintf("delta %.3g V/epoch over threshold %.3g (streak %d/%d)",
 						delta, threshold, st.streak, g.cfg.Streak),
 				})
-				if st.streak >= g.cfg.Streak {
+				if st.streak >= g.cfg.Streak && g.holdable(id) {
 					g.convict(ctx, epoch, id, st, vth, r.Prev.Chips)
 				}
 			} else if st != nil {

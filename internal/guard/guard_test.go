@@ -1,9 +1,12 @@
 package guard
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
+	"strings"
 	"testing"
 
 	"selfheal/internal/engine"
@@ -491,5 +494,45 @@ func TestGuardRetriesRelease(t *testing.T) {
 		if cv, _ := rig.eng.Snapshot().Chip(victim); cv.Phase != engine.PhaseStressName {
 			t.Fatalf("released victim %s back in phase %q at epoch %d", victim, cv.Phase, cv.Epoch)
 		}
+	}
+}
+
+// TestGuardHoldsOnlyJournaledChips: with a fleet wired, a hold is
+// journaled only for fleet chips, so the guard convicts nothing else.
+// An attacked engine-native chip keeps raising outlier alerts, is never
+// quarantined, and no step of a hold it cannot journal logs an error.
+func TestGuardHoldsOnlyJournaledChips(t *testing.T) {
+	ctx := context.Background()
+	fl, err := fleet.NewService(store.NewMem[*fleet.ChipEntry]())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl.Close()
+	var logs bytes.Buffer
+	rig := newGuardRig(t, Config{}, Deps{Fleet: fl, Log: slog.New(slog.NewTextHandler(&logs, nil))}, 12)
+	rig.tick(4)
+	if err := rig.eng.SetCondition(ctx, "g005", engine.Cond{TempC: 110, Vdd: 1.32, Duty: 1}); err != nil {
+		t.Fatal(err)
+	}
+	rig.tick(40)
+
+	byKind := alertsByKind(rig.guard.Alerts(0))
+	outliers := 0
+	for _, a := range byKind[AlertOutlier] {
+		if a.Chip == "g005" {
+			outliers++
+		}
+	}
+	if outliers < Defaults.Streak {
+		t.Fatalf("attacked chip raised %d outlier alerts, want at least %d; alerts %+v", outliers, Defaults.Streak, rig.guard.Alerts(0))
+	}
+	if q := byKind[AlertQuarantined]; len(q) != 0 {
+		t.Fatalf("engine-native chip quarantined without a journaled hold: %+v", q)
+	}
+	if m := rig.guard.MetricsSnapshot(); m.QuarantinedChips != 0 {
+		t.Fatalf("quarantine metrics: %+v", m)
+	}
+	if strings.Contains(logs.String(), "level=ERROR") {
+		t.Fatalf("guard logged errors:\n%s", logs.String())
 	}
 }

@@ -24,6 +24,15 @@ import (
 // node must show up as a hole in the fleet view, not take the view
 // down with it.
 
+const (
+	// federateTimeout bounds each peer scrape a federated request fans
+	// out.
+	federateTimeout = 2 * time.Second
+	// federateStaleAfter is how old a peer's newest sample may be before
+	// the federated view marks the node stale.
+	federateStaleAfter = 15 * time.Second
+)
+
 // NodeTelemetry is one node's section of a fleet response.
 type NodeTelemetry struct {
 	NodeID string `json:"node_id"`
@@ -86,7 +95,7 @@ func (s *Server) gatherFleet(ctx context.Context, names []string, query tsdb.Que
 // trace across every node's ring.
 func (s *Server) scrapePeer(ctx context.Context, id, addr, rawQuery string) NodeTelemetry {
 	nt := NodeTelemetry{NodeID: id, Addr: addr}
-	ctx, cancel := context.WithTimeout(ctx, s.cfg.FederateTimeout)
+	ctx, cancel := context.WithTimeout(ctx, federateTimeout)
 	defer cancel()
 	url := addr + "/v1/telemetry"
 	if rawQuery != "" {
@@ -128,7 +137,7 @@ func (s *Server) scrapePeer(ctx context.Context, id, addr, rawQuery string) Node
 }
 
 // markStale applies the staleness rule to one section: unreachable, no
-// samples at all, or newest sample older than FederateStaleAfter.
+// samples at all, or newest sample older than federateStaleAfter.
 func (s *Server) markStale(nt NodeTelemetry) NodeTelemetry {
 	if nt.Error != "" || nt.Telemetry == nil {
 		nt.Stale = true
@@ -144,7 +153,7 @@ func (s *Server) markStale(nt NodeTelemetry) NodeTelemetry {
 	if nt.AgeSeconds < 0 {
 		nt.AgeSeconds = 0
 	}
-	nt.Stale = nt.AgeSeconds > s.cfg.FederateStaleAfter.Seconds()
+	nt.Stale = nt.AgeSeconds > federateStaleAfter.Seconds()
 	return nt
 }
 

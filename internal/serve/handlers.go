@@ -160,50 +160,33 @@ func (s *Server) handleDeleteChip(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, DeleteChipResponse{ID: id, Deleted: true})
 }
 
-func (s *Server) handleStress(w http.ResponseWriter, r *http.Request) {
-	var req PhaseRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.writeError(w, r, err)
-		return
+// handleChipOp serves the four single-chip routes — stress and
+// rejuvenate (with a PhaseRequest body), measure and odometer — through
+// the fleet's one op dispatch, answering with the op's own result.
+func (s *Server) handleChipOp(op string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		spec := fleet.OpSpec{Op: op, ID: r.PathValue("id")}
+		if r.Method == http.MethodPost {
+			if err := decodeJSON(r, &spec.PhaseRequest); err != nil {
+				s.writeError(w, r, err)
+				return
+			}
+		}
+		res := s.fleet.Apply(r.Context(), spec)
+		var body any
+		switch {
+		case res.Err != nil:
+			s.writeError(w, r, res.Err)
+			return
+		case res.Reading != nil:
+			body = res.Reading
+		case res.Odometer != nil:
+			body = res.Odometer
+		default:
+			body = res.Phase
+		}
+		s.writeJSON(w, http.StatusOK, body)
 	}
-	resp, err := s.fleet.Stress(r.Context(), r.PathValue("id"), req)
-	if err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleRejuvenate(w http.ResponseWriter, r *http.Request) {
-	var req PhaseRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	resp, err := s.fleet.Rejuvenate(r.Context(), r.PathValue("id"), req)
-	if err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
-	resp, err := s.fleet.Measure(r.Context(), r.PathValue("id"))
-	if err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleOdometer(w http.ResponseWriter, r *http.Request) {
-	resp, err := s.fleet.Odometer(r.Context(), r.PathValue("id"))
-	if err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // checkBatchSize validates a batch's item count before any item runs.

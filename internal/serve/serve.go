@@ -73,12 +73,6 @@ type Config struct {
 	// TSDB — how many epochs of per-epoch fleet aggregates GET
 	// /v1/telemetry can serve (default 512).
 	TelemetryEpochs int
-	// FederateTimeout bounds each peer scrape a federated telemetry
-	// request fans out (default 2 s).
-	FederateTimeout time.Duration
-	// FederateStaleAfter is how old a peer's newest sample may be
-	// before the federated view marks the node stale (default 15 s).
-	FederateStaleAfter time.Duration
 
 	// EngineEnabled turns on the discrete-event fleet aging engine: a
 	// single simulation clock that advances every registered chip one
@@ -165,12 +159,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TelemetryEpochs <= 0 {
 		c.TelemetryEpochs = 512
-	}
-	if c.FederateTimeout <= 0 {
-		c.FederateTimeout = 2 * time.Second
-	}
-	if c.FederateStaleAfter <= 0 {
-		c.FederateStaleAfter = 15 * time.Second
 	}
 	if c.EngineEpoch == 0 {
 		c.EngineEpoch = time.Second
@@ -432,10 +420,10 @@ func (s *Server) routes() http.Handler {
 		"POST /v1/chips:batch":                 s.handleBatchCreate,
 		"GET /v1/chips":                        s.handleListChips,
 		"DELETE /v1/chips/{id}":                s.handleDeleteChip,
-		"POST /v1/chips/{id}/stress":           s.handleStress,
-		"POST /v1/chips/{id}/rejuvenate":       s.handleRejuvenate,
-		"GET /v1/chips/{id}/measure":           s.handleMeasure,
-		"GET /v1/chips/{id}/odometer":          s.handleOdometer,
+		"POST /v1/chips/{id}/stress":           s.handleChipOp(fleet.BatchOpStress),
+		"POST /v1/chips/{id}/rejuvenate":       s.handleChipOp(fleet.BatchOpRejuvenate),
+		"GET /v1/chips/{id}/measure":           s.handleChipOp(fleet.BatchOpMeasure),
+		"GET /v1/chips/{id}/odometer":          s.handleChipOp(fleet.BatchOpOdometer),
 		"POST /v1/ops:batch":                   s.handleBatchOps,
 		"POST /v1/predict/shift":               s.handlePredictShift,
 		"POST /v1/predict/schedules":           s.handlePredictSchedules,
