@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race perfbench loc bench bench-engine obs-smoke engine-smoke guard-smoke cluster-smoke telemetry-smoke serve
+.PHONY: check fmt vet build test race perfbench fuzz loc bench bench-engine obs-smoke engine-smoke guard-smoke cluster-smoke telemetry-smoke serve
 
 ## check: everything CI needs — gofmt, vet, build, tests with the race
 ## detector, and perfbench's own vet and tests
@@ -28,6 +28,17 @@ race:
 ## the next benchmark run
 perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+## fuzz: run every Fuzz target outside perfbench/ for 10 s, one target
+## at a time (go test -fuzz takes one); a finding fails like any test
+## and leaves its input under the package's testdata/fuzz/
+fuzz:
+	@set -e; for f in $$(grep -rl --include='*_test.go' --exclude-dir=.git --exclude-dir=.bench_build --exclude-dir=perfbench '^func Fuzz' . | sort); do \
+		for fn in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			echo "fuzz $$fn ($$(dirname $$f))"; \
+			$(GO) test -run '^$$' -fuzz "^$$fn$$" -fuzztime 10s $$(dirname $$f); \
+		done; \
+	done
 
 ## loc: the code-size figure simplicity changes report — non-test Go
 ## lines outside perfbench/, raw and without blank and comment-only

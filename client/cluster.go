@@ -137,102 +137,76 @@ func (cl *Cluster) route(chipID string) []*Client {
 	return order
 }
 
-// forChip runs fn against the chip's owner; for idempotent calls it
-// falls back across the remaining nodes on transport-level failure.
-// An *APIError is an authoritative answer (a node processed the
-// request) and stops the walk; so does success. Non-idempotent calls
-// never fall back: a transport error leaves "did it execute?"
-// unanswered, and re-sending via another node could age a die twice —
-// the same doctrine as the single-node client's retry policy.
-func (cl *Cluster) forChip(ctx context.Context, chipID string, idempotent bool, fn func(c *Client) error) error {
-	var lastErr error
+// forChip runs call against the chip's owner under one trace (see
+// ensureTrace); for idempotent calls it falls back across the
+// remaining nodes on transport-level failure. An *APIError is an
+// authoritative answer (a node processed the request) and stops the
+// walk; so does success. Non-idempotent calls never fall back: a
+// transport error leaves "did it execute?" unanswered, and re-sending
+// via another node could age a die twice — the same doctrine as the
+// single-node client's retry policy.
+func forChip[T any](cl *Cluster, ctx context.Context, chipID string, idempotent bool, call func(ctx context.Context, c *Client) (T, error)) (T, error) {
+	ctx = ensureTrace(ctx)
+	var (
+		out T
+		err error
+	)
 	for i, c := range cl.route(chipID) {
-		err := fn(c)
+		out, err = call(ctx, c)
 		var apiErr *APIError
 		if err == nil || errors.As(err, &apiErr) {
 			if i > 0 {
 				cl.fallbacks.Add(1)
 			}
-			return err
+			return out, err
 		}
-		lastErr = err
 		if !idempotent || ctx.Err() != nil {
 			break
 		}
 	}
-	return lastErr
+	return out, err
 }
 
 // CreateChip fabricates a chip on its owner node.
 func (cl *Cluster) CreateChip(ctx context.Context, req CreateChipRequest) (ChipResponse, error) {
-	ctx = ensureTrace(ctx)
-	var out ChipResponse
-	err := cl.forChip(ctx, req.ID, false, func(c *Client) error {
-		var e error
-		out, e = c.CreateChip(ctx, req)
-		return e
+	return forChip(cl, ctx, req.ID, false, func(ctx context.Context, c *Client) (ChipResponse, error) {
+		return c.CreateChip(ctx, req)
 	})
-	return out, err
 }
 
 // DeleteChip retires a chip via its owner node.
 func (cl *Cluster) DeleteChip(ctx context.Context, id string) (DeleteChipResponse, error) {
-	ctx = ensureTrace(ctx)
-	var out DeleteChipResponse
-	err := cl.forChip(ctx, id, true, func(c *Client) error {
-		var e error
-		out, e = c.DeleteChip(ctx, id)
-		return e
+	return forChip(cl, ctx, id, true, func(ctx context.Context, c *Client) (DeleteChipResponse, error) {
+		return c.DeleteChip(ctx, id)
 	})
-	return out, err
 }
 
 // Stress ages a chip via its owner node.
 func (cl *Cluster) Stress(ctx context.Context, id string, req PhaseRequest) (PhaseResponse, error) {
-	ctx = ensureTrace(ctx)
-	var out PhaseResponse
-	err := cl.forChip(ctx, id, false, func(c *Client) error {
-		var e error
-		out, e = c.Stress(ctx, id, req)
-		return e
+	return forChip(cl, ctx, id, false, func(ctx context.Context, c *Client) (PhaseResponse, error) {
+		return c.Stress(ctx, id, req)
 	})
-	return out, err
 }
 
 // Rejuvenate heals a chip via its owner node.
 func (cl *Cluster) Rejuvenate(ctx context.Context, id string, req PhaseRequest) (PhaseResponse, error) {
-	ctx = ensureTrace(ctx)
-	var out PhaseResponse
-	err := cl.forChip(ctx, id, false, func(c *Client) error {
-		var e error
-		out, e = c.Rejuvenate(ctx, id, req)
-		return e
+	return forChip(cl, ctx, id, false, func(ctx context.Context, c *Client) (PhaseResponse, error) {
+		return c.Rejuvenate(ctx, id, req)
 	})
-	return out, err
 }
 
 // Measure reads a bench chip's sensor via its owner node.
 func (cl *Cluster) Measure(ctx context.Context, id string) (ReadingResponse, error) {
-	ctx = ensureTrace(ctx)
-	var out ReadingResponse
-	err := cl.forChip(ctx, id, true, func(c *Client) error {
-		var e error
-		out, e = c.Measure(ctx, id)
-		return e
+	return forChip(cl, ctx, id, true, func(ctx context.Context, c *Client) (ReadingResponse, error) {
+		return c.Measure(ctx, id)
 	})
-	return out, err
 }
 
 // Odometer reads a monitored chip's sensor via its owner node.
 func (cl *Cluster) Odometer(ctx context.Context, id string) (OdometerResponse, error) {
-	ctx = ensureTrace(ctx)
-	var out OdometerResponse
-	err := cl.forChip(ctx, id, true, func(c *Client) error {
-		var e error
-		out, e = c.Odometer(ctx, id)
-		return e
+	return forChip(cl, ctx, id, true, func(ctx context.Context, c *Client) (OdometerResponse, error) {
+		return c.Odometer(ctx, id)
 	})
-	return out, err
 }
 
 // ListChips fans out to every node and merges the fleet sorted by id.
@@ -283,134 +257,97 @@ func (cl *Cluster) ListChips(ctx context.Context) ([]ChipResponse, error) {
 	return out, nil
 }
 
-// BatchCreateChips partitions a bulk create by owner, issues one
+// byOwner partitions a batch by each item's chip owner, sends one
 // batch per node concurrently, and re-merges the per-item results in
-// input order. A node-level failure is reported per item (Error set)
+// input order. A node-level failure is reported per item through fail,
 // so one dead node fails only its own shard's items.
-func (cl *Cluster) BatchCreateChips(ctx context.Context, chips []CreateChipRequest) (BatchCreateResponse, error) {
+func byOwner[T, R any](cl *Cluster, ctx context.Context, items []T, id func(T) string,
+	send func(ctx context.Context, c *Client, part []T) ([]R, error),
+	fail func(it T, msg string, err error) R) []R {
 	ctx = ensureTrace(ctx)
-	var out BatchCreateResponse
-	out.Results = make([]BatchCreateResult, len(chips))
 	type part struct {
 		idx   []int
-		chips []CreateChipRequest
+		items []T
 	}
 	parts := make(map[string]*part)
-	for i, sp := range chips {
-		owner := cl.Owner(sp.ID)
+	for i, it := range items {
+		owner := cl.Owner(id(it))
 		p := parts[owner]
 		if p == nil {
 			p = &part{}
 			parts[owner] = p
 		}
 		p.idx = append(p.idx, i)
-		p.chips = append(p.chips, sp)
+		p.items = append(p.items, it)
 	}
-	var (
-		wg    sync.WaitGroup
-		resMu sync.Mutex
-	)
+	results := make([]R, len(items))
+	var wg sync.WaitGroup
 	for owner, p := range parts {
 		wg.Add(1)
 		go func(owner string, p *part) {
 			defer wg.Done()
-			var (
-				resp BatchCreateResponse
-				err  error
-			)
-			ferr := cl.forChip(ctx, p.chips[0].ID, false, func(c *Client) error {
-				resp, err = c.BatchCreateChips(ctx, p.chips)
-				return err
+			res, err := forChip(cl, ctx, id(p.items[0]), false, func(ctx context.Context, c *Client) ([]R, error) {
+				return send(ctx, c, p.items)
 			})
-			resMu.Lock()
-			defer resMu.Unlock()
-			if ferr != nil || len(resp.Results) != len(p.idx) {
+			if err != nil || len(res) != len(p.idx) {
+				msg := fmt.Sprintf("node %s unreachable", owner)
+				if err != nil {
+					msg = err.Error()
+				}
 				for _, i := range p.idx {
-					msg := fmt.Sprintf("node %s unreachable", owner)
-					if ferr != nil {
-						msg = ferr.Error()
-					}
-					out.Results[i] = BatchCreateResult{ID: chips[i].ID, Error: msg, Err: ferr}
-					out.Failed++
+					results[i] = fail(items[i], msg, err)
 				}
 				return
 			}
 			for k, i := range p.idx {
-				out.Results[i] = resp.Results[k]
-				if resp.Results[k].Error != "" {
-					out.Failed++
-				} else {
-					out.Created++
-				}
+				results[i] = res[k]
 			}
 		}(owner, p)
 	}
 	wg.Wait()
+	return results
+}
+
+// BatchCreateChips partitions a bulk create by owner (see byOwner).
+func (cl *Cluster) BatchCreateChips(ctx context.Context, chips []CreateChipRequest) (BatchCreateResponse, error) {
+	out := BatchCreateResponse{Results: byOwner(cl, ctx, chips,
+		func(sp CreateChipRequest) string { return sp.ID },
+		func(ctx context.Context, c *Client, part []CreateChipRequest) ([]BatchCreateResult, error) {
+			resp, err := c.BatchCreateChips(ctx, part)
+			return resp.Results, err
+		},
+		func(sp CreateChipRequest, msg string, err error) BatchCreateResult {
+			return BatchCreateResult{ID: sp.ID, Error: msg, Err: err}
+		})}
+	for _, r := range out.Results {
+		if r.Error != "" {
+			out.Failed++
+		} else {
+			out.Created++
+		}
+	}
 	return out, nil
 }
 
 // BatchOps partitions a mixed-operation batch by each item's chip
-// owner and re-merges the results in input order, like
-// BatchCreateChips.
+// owner (see byOwner).
 func (cl *Cluster) BatchOps(ctx context.Context, ops []BatchOpSpec) (BatchOpsResponse, error) {
-	ctx = ensureTrace(ctx)
-	var out BatchOpsResponse
-	out.Results = make([]BatchOpResult, len(ops))
-	type part struct {
-		idx []int
-		ops []BatchOpSpec
-	}
-	parts := make(map[string]*part)
-	for i, op := range ops {
-		owner := cl.Owner(op.ID)
-		p := parts[owner]
-		if p == nil {
-			p = &part{}
-			parts[owner] = p
+	out := BatchOpsResponse{Results: byOwner(cl, ctx, ops,
+		func(op BatchOpSpec) string { return op.ID },
+		func(ctx context.Context, c *Client, part []BatchOpSpec) ([]BatchOpResult, error) {
+			resp, err := c.BatchOps(ctx, part)
+			return resp.Results, err
+		},
+		func(op BatchOpSpec, msg string, err error) BatchOpResult {
+			return BatchOpResult{Op: op.Op, ID: op.ID, Error: msg, Err: err}
+		})}
+	for _, r := range out.Results {
+		if r.Error != "" {
+			out.Failed++
+		} else {
+			out.Succeeded++
 		}
-		p.idx = append(p.idx, i)
-		p.ops = append(p.ops, op)
 	}
-	var (
-		wg    sync.WaitGroup
-		resMu sync.Mutex
-	)
-	for owner, p := range parts {
-		wg.Add(1)
-		go func(owner string, p *part) {
-			defer wg.Done()
-			var (
-				resp BatchOpsResponse
-				err  error
-			)
-			ferr := cl.forChip(ctx, p.ops[0].ID, false, func(c *Client) error {
-				resp, err = c.BatchOps(ctx, p.ops)
-				return err
-			})
-			resMu.Lock()
-			defer resMu.Unlock()
-			if ferr != nil || len(resp.Results) != len(p.idx) {
-				for _, i := range p.idx {
-					msg := fmt.Sprintf("node %s unreachable", owner)
-					if ferr != nil {
-						msg = ferr.Error()
-					}
-					out.Results[i] = BatchOpResult{Op: ops[i].Op, ID: ops[i].ID, Error: msg, Err: ferr}
-					out.Failed++
-				}
-				return
-			}
-			for k, i := range p.idx {
-				out.Results[i] = resp.Results[k]
-				if resp.Results[k].Error != "" {
-					out.Failed++
-				} else {
-					out.Succeeded++
-				}
-			}
-		}(owner, p)
-	}
-	wg.Wait()
 	return out, nil
 }
 

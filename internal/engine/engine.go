@@ -58,11 +58,13 @@
 //
 // # Lock hierarchy
 //
-// tick lock → nothing. The tick lock guards every partition: writers
-// and snapshot publication hold it, and within a tick each worker
-// touches only the partitions it claimed. The store's chip→shard order
-// is never entered with the tick lock held: the engine commits through
-// the journal only (no store map access), and handlers reading
+// tick lock → commit path. The tick lock guards every partition:
+// writers and snapshot publication hold it, and within a tick each
+// worker touches only the partitions it claimed. The store's
+// chip→shard order is never entered with the tick lock held: the
+// engine only commits through the store (no store map access), and
+// below Commit sit only the journal's locks and, when a commit fails,
+// the serve layer's degraded-gate mutex, a leaf. Handlers reading
 // snapshots take no locks at all. See internal/store for the canonical
 // fleet hierarchy; DESIGN.md states the combined ordering.
 package engine
@@ -121,34 +123,37 @@ type Config struct {
 	OnEpoch func(epoch uint64, snap, prev *Snapshot)
 }
 
-// Spec registers one chip with the engine.
+// Spec registers one chip with the engine. It doubles as the wire
+// body of one POST /v1/engine/chips:batch item; Kind stays off the
+// wire, since only the serve layer registers fleet-backed chips.
 type Spec struct {
-	ID       string
-	Kind     string  // "" for engine-native, KindFleet for fleet-backed
-	Phase    string  // PhaseStressName (default) or PhaseSleepName
-	TempC    float64 // junction temperature, °C
-	Vdd      float64 // stress: gate voltage; sleep: <0 = reverse-biased rail
-	Duty     float64 // duty cycle in [0,1]
-	Schedule *Schedule
+	ID       string    `json:"id"`
+	Kind     string    `json:"-"`               // "" for engine-native, KindFleet for fleet-backed
+	Phase    string    `json:"phase,omitempty"` // PhaseStressName (default) or PhaseSleepName
+	TempC    float64   `json:"temp_c"`          // junction temperature, °C
+	Vdd      float64   `json:"vdd"`             // stress: gate voltage; sleep: <0 = reverse-biased rail
+	Duty     float64   `json:"duty"`            // duty cycle, finite; clamped into [0,1]
+	Schedule *Schedule `json:"schedule,omitempty"`
 }
 
 // Cond is a chip's phase + condition + duty, the payload of a
-// condition change.
+// condition change and the POST /v1/engine/chips/{id}/condition body.
 type Cond struct {
-	Phase string
-	TempC float64
-	Vdd   float64
-	Duty  float64
+	Phase string  `json:"phase,omitempty"`
+	TempC float64 `json:"temp_c"`
+	Vdd   float64 `json:"vdd"`
+	Duty  float64 `json:"duty"`
 }
 
 // Schedule is a circadian stress/sleep cycle: StressEpochs of the
 // chip's stress condition, then SleepEpochs at the sleep condition,
-// repeating. Both zero cancels the cycle.
+// repeating. Both zero cancels the cycle. It is also the POST
+// /v1/engine/chips/{id}/schedule body.
 type Schedule struct {
-	StressEpochs uint64
-	SleepEpochs  uint64
-	SleepTempC   float64
-	SleepVdd     float64
+	StressEpochs uint64  `json:"stress_epochs"`
+	SleepEpochs  uint64  `json:"sleep_epochs"`
+	SleepTempC   float64 `json:"sleep_temp_c"`
+	SleepVdd     float64 `json:"sleep_vdd"`
 }
 
 // traceEvery is how often a Tracer sees a tick: the first and then every
@@ -203,7 +208,9 @@ type Engine struct {
 
 	// tickMu serializes epoch advancement, writes, journal flushes, and
 	// snapshot publication — writes never land mid-epoch — and guards
-	// every partition and the fields below.
+	// every partition and the fields below. Commits run under it; the
+	// only locks below it are the journal's and the serve layer's
+	// degraded-gate mutex.
 	tickMu        sync.Mutex
 	parts         [store.ShardCount]*partition
 	epoch         uint64

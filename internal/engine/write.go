@@ -137,7 +137,7 @@ func (e *Engine) normalizeSpec(sp Spec) (Spec, error) {
 		return sp, fmt.Errorf("engine: chip %q: unknown phase %q (want %q or %q)",
 			sp.ID, sp.Phase, PhaseStressName, PhaseSleepName)
 	}
-	if err := e.validateCond(sp.Phase, sp.TempC, sp.Vdd); err != nil {
+	if err := e.validateCond(Cond{Phase: sp.Phase, TempC: sp.TempC, Vdd: sp.Vdd, Duty: sp.Duty}); err != nil {
 		return sp, fmt.Errorf("engine: chip %q: %w", sp.ID, err)
 	}
 	if sp.Schedule != nil {
@@ -151,19 +151,23 @@ func (e *Engine) normalizeSpec(sp Spec) (Spec, error) {
 	return sp, nil
 }
 
-// validateCond checks one (phase, temp, vdd) condition by building the
-// corresponding td step.
-func (e *Engine) validateCond(phase string, tempC, vdd float64) error {
-	key := classKey{tempC: tempC, vdd: vdd}
-	if phase == PhaseSleepName {
+// validateCond checks one condition by building the corresponding td
+// step, and its duty the way the td batch will, so a write is refused
+// before its record commits, never at apply or replay.
+func (e *Engine) validateCond(c Cond) error {
+	if err := td.ValidDuty(c.Duty); err != nil {
+		return err
+	}
+	key := classKey{tempC: c.TempC, vdd: c.Vdd}
+	if c.Phase == PhaseSleepName {
 		key.phase = phaseSleep
 	}
-	c := tdClass(key, nil)
+	tc := tdClass(key, nil)
 	var err error
-	if c.Stress {
-		_, err = td.NewStressStep(e.params, c.SCond, units.Seconds(1))
+	if tc.Stress {
+		_, err = td.NewStressStep(e.params, tc.SCond, units.Seconds(1))
 	} else {
-		_, err = td.NewRecoverStep(e.params, c.RCond, units.Seconds(1))
+		_, err = td.NewRecoverStep(e.params, tc.RCond, units.Seconds(1))
 	}
 	return err
 }
@@ -176,7 +180,7 @@ func (e *Engine) validateSchedule(s Schedule) error {
 	if s.StressEpochs == 0 {
 		return nil // cancellation
 	}
-	return e.validateCond(PhaseSleepName, s.SleepTempC, s.SleepVdd)
+	return e.validateCond(Cond{Phase: PhaseSleepName, TempC: s.SleepTempC, Vdd: s.SleepVdd})
 }
 
 func regRecord(sp Spec) store.Record {
@@ -291,7 +295,7 @@ func (e *Engine) SetConditionBatch(ctx context.Context, changes []CondChange) ([
 			default:
 				return rec, fmt.Errorf("engine: unknown phase %q", c.Phase)
 			}
-			if err := e.validateCond(c.Phase, c.TempC, c.Vdd); err != nil {
+			if err := e.validateCond(c); err != nil {
 				return rec, fmt.Errorf("engine: chip %q: %w", id, err)
 			}
 			if !e.has(id) {

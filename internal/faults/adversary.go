@@ -9,6 +9,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -81,13 +82,18 @@ func (c AdversaryConfig) validate() error {
 	for _, p := range []struct {
 		name string
 		v    float64
-	}{{"cancel_p", c.CancelP}, {"deny_p", c.DenyP}} {
-		if p.v < 0 || p.v > 1 {
+	}{{"cancel_p", c.CancelP}, {"deny_p", c.DenyP}, {"duty", c.Duty}} {
+		if !(p.v >= 0 && p.v <= 1) { // NaN fails too
 			return fmt.Errorf("faults: adversary %s must be in [0,1], got %v", p.name, p.v)
 		}
 	}
-	if c.Duty < 0 || c.Duty > 1 {
-		return fmt.Errorf("faults: adversary duty must be in [0,1], got %v", c.Duty)
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"temp_c", c.TempC}, {"vdd", c.Vdd}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("faults: adversary %s must be finite, got %v", f.name, f.v)
+		}
 	}
 	return nil
 }

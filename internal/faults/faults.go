@@ -139,9 +139,15 @@ func (c Config) validate() error {
 		{"latency_p", c.LatencyP}, {"error_p", c.ErrorP},
 		{"panic_p", c.PanicP}, {"partial_p", c.PartialP},
 	} {
-		if p.v < 0 || p.v > 1 {
+		if !(p.v >= 0 && p.v <= 1) { // NaN fails too
 			return fmt.Errorf("faults: %s must be in [0,1], got %v", p.name, p.v)
 		}
+	}
+	if c.DiskN != 0 && c.Disk == DiskNone {
+		return fmt.Errorf("faults: disk recover-after budget %d set with no disk mode", c.DiskN)
+	}
+	if c.NetN != 0 && c.Net == NetNone {
+		return fmt.Errorf("faults: net recover-after budget %d set with no net mode", c.NetN)
 	}
 	if c.Latency < 0 {
 		return fmt.Errorf("faults: latency must be ≥ 0, got %v", c.Latency)
@@ -247,8 +253,7 @@ func parseNetSpec(val string) (NetMode, time.Duration, int, error) {
 // String re-emits the config in ParseConfig's grammar, so a spec can be
 // logged and replayed verbatim: ParseConfig(c.String()) reproduces c for
 // any valid config (the zero config renders as ""). Keys appear in the
-// documented order; zero-valued fields are omitted. A DiskN with no armed
-// mode is meaningless and is not emitted.
+// documented order; zero-valued fields are omitted.
 func (c Config) String() string {
 	var parts []string
 	emit := func(key, val string) { parts = append(parts, key+"="+val) }

@@ -15,6 +15,12 @@ func FuzzConfigRoundTrip(f *testing.F) {
 	f.Add("disk=corrupt-on-write")
 	f.Add("latency_p=1e-3,latency=1h30m")
 	f.Add("seed=18446744073709551615,disk=fail-append:2147483647")
+	// Refused: a budget with no mode (String would drop it) and
+	// non-finite probabilities (NaN slips a range check).
+	f.Add("disk=:1")
+	f.Add("net=:3")
+	f.Add("error_p=NaN")
+	f.Add("latency_p=+Inf")
 	f.Fuzz(func(t *testing.T, spec string) {
 		cfg, err := ParseConfig(spec)
 		if err != nil {
@@ -38,6 +44,11 @@ func FuzzAdversaryRoundTrip(f *testing.F) {
 	f.Add("seed=7,victims=4,temp_c=110,vdd=1.32,start=20,cancel_p=0.5,deny_p=0.5")
 	f.Add("victims=1,duty=0.5,deny_p=1")
 	f.Add("temp_c=-40,vdd=-0.3")
+	// Refused: non-finite values.
+	f.Add("vdd=NAN")
+	f.Add("temp_c=+Inf")
+	f.Add("victims=1,duty=nan")
+	f.Add("cancel_p=NaN")
 	f.Fuzz(func(t *testing.T, spec string) {
 		cfg, err := ParseAdversary(spec)
 		if err != nil {

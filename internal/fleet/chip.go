@@ -149,11 +149,7 @@ func (e *ChipEntry) setQuarantined(ctx context.Context, v bool, reason string, c
 		if err := commit(); err != nil {
 			e.quarantined = !v
 			e.quarReason = prevReason
-			op := "quarantine"
-			if !v {
-				op = "release"
-			}
-			return false, NotDurableError{Op: op, Err: err}
+			return false, err
 		}
 	}
 	return true, nil
@@ -175,9 +171,9 @@ func (e *ChipEntry) lock(ctx context.Context) {
 // the persisted order always matches the order the operations were
 // applied in. Sensor reads are mutations in disguise (sampling ages the
 // die and consumes noise draws), so they commit, and quarantine refuses
-// them, like the phases. A commit failure is a NotDurableError: the
-// in-memory state has advanced (aging cannot be rolled back) but the
-// operation will not survive a restart.
+// them, like the phases. On a commit failure the in-memory state has
+// advanced (aging cannot be rolled back) but the operation will not
+// survive a restart.
 func (e *ChipEntry) apply(ctx context.Context, spec OpSpec, res *OpResult, commit func() error) error {
 	e.lock(ctx)
 	defer e.mu.Unlock()
@@ -202,9 +198,7 @@ func (e *ChipEntry) apply(ctx context.Context, spec OpSpec, res *OpResult, commi
 	}
 	e.ops++
 	if commit != nil {
-		if err := commit(); err != nil {
-			return NotDurableError{Op: spec.Op, Err: err}
-		}
+		return commit()
 	}
 	return nil
 }

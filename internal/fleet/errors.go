@@ -37,26 +37,11 @@ func (e QuarantinedError) Error() string {
 	return fmt.Sprintf("fleet: chip %q is quarantined", e.ID)
 }
 
-// NotDurableError wraps a store-commit failure — the storage wearing
-// out, not a bug. For create and delete the operation was rolled back
-// and can be retried; for phases the in-memory state advanced but will
-// not survive a restart.
-type NotDurableError struct {
-	Op  string
-	Err error
-}
-
-func (e NotDurableError) Error() string {
-	return fmt.Sprintf("fleet: %s could not be committed: %v", e.Op, e.Err)
-}
-
-func (e NotDurableError) Unwrap() error { return e.Err }
-
 // CanceledError marks a batch item that was never executed because the
 // batch's context was cancelled before it was scheduled. The chip was
 // not touched, so the item is always safe to retry — unlike a generic
-// failure, where the operation may have half-happened (e.g. a
-// NotDurableError phase). Engine-enqueued batches rely on the
+// failure, where the operation may have half-happened (e.g. a phase
+// whose commit failed). Engine-enqueued batches rely on the
 // distinction to retry cancelled items blindly.
 type CanceledError struct{ Err error }
 

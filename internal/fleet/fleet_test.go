@@ -109,6 +109,7 @@ func TestCreateRollbackVisibleToWaiters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	errCommit := errors.New("injected commit failure")
 	hs.commit = func(rec store.Record) error {
 		if rec.Op != store.OpCreate {
 			return nil
@@ -116,7 +117,7 @@ func TestCreateRollbackVisibleToWaiters(t *testing.T) {
 		close(inCommit)
 		<-waiterReady
 		time.Sleep(10 * time.Millisecond) // let the waiter reach entry.mu
-		return errors.New("injected commit failure")
+		return errCommit
 	}
 
 	go func() {
@@ -133,8 +134,8 @@ func TestCreateRollbackVisibleToWaiters(t *testing.T) {
 	}()
 
 	_, err = s.Create(context.Background(), CreateSpec{ID: "c0", Seed: 1, Kind: KindBench})
-	if !errors.As(err, &NotDurableError{}) {
-		t.Fatalf("Create error = %v, want NotDurableError", err)
+	if !errors.Is(err, errCommit) {
+		t.Fatalf("Create error = %v, want it to wrap the store's %v", err, errCommit)
 	}
 	if werr := <-waiterErr; !errors.As(werr, &NotFoundError{}) {
 		t.Fatalf("waiter Stress error = %v, want NotFoundError (rollback must be visible)", werr)

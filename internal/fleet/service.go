@@ -100,12 +100,20 @@ func (s *Service) applyRecord(rec store.Record) error {
 // when the store provides no durability — the entry methods then skip
 // the call entirely, matching the replay path. The captured context
 // carries the request's trace into the journal's stage/commit spans;
-// it does not cancel the commit.
+// it does not cancel the commit. A failed commit wraps the store's
+// error: for create, delete and quarantine changes the operation was
+// rolled back and can be retried; for phases and sensor reads the
+// in-memory state advanced but will not survive a restart.
 func (s *Service) commit(ctx context.Context, rec store.Record) func() error {
 	if !s.st.Durable() {
 		return nil
 	}
-	return func() error { return s.st.Commit(ctx, rec) }
+	return func() error {
+		if err := s.st.Commit(ctx, rec); err != nil {
+			return fmt.Errorf("fleet: %s could not be committed: %w", rec.Op, err)
+		}
+		return nil
+	}
 }
 
 // lookup finds a chip, timing the sharded-store access as a
@@ -159,7 +167,7 @@ func (s *Service) Create(ctx context.Context, spec CreateSpec) (ChipResponse, er
 			// history and fail every subsequent replay.
 			entry.deleted = true
 			s.st.Remove(spec.ID)
-			return ChipResponse{}, NotDurableError{Op: "create", Err: err}
+			return ChipResponse{}, err
 		}
 	}
 	return entry.Info(), nil
@@ -188,7 +196,7 @@ func (s *Service) delete(ctx context.Context, id string, commit func() error) (b
 	if commit != nil {
 		if err := commit(); err != nil {
 			e.deleted = false
-			return true, NotDurableError{Op: "delete", Err: err}
+			return true, err
 		}
 	}
 	s.st.Remove(id)
@@ -349,12 +357,6 @@ func (s *Service) Usage() map[string]ChipUsage {
 
 // Len reports the number of registered chips.
 func (s *Service) Len() int { return s.st.Len() }
-
-// Durable reports whether the fleet's store survives restarts.
-func (s *Service) Durable() bool { return s.st.Durable() }
-
-// Probe rechecks the store's durability during a degraded episode.
-func (s *Service) Probe() error { return s.st.Probe() }
 
 // StoreStats reports the persistence backend's counters; ok is false
 // for non-durable fleets.

@@ -10,6 +10,7 @@ package guard
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -121,6 +122,20 @@ func (c Config) withDefaults() Config {
 }
 
 func (c Config) validate() error {
+	for _, f := range []struct {
+		key string
+		v   float64
+	}{
+		{"sigma", c.SigmaK}, {"rate_floor", c.RateFloorV},
+		{"rejuv_temp_c", c.RejuvTempC}, {"rejuv_vdd", c.RejuvVdd},
+		{"recover_frac", c.RecoverFrac}, {"max_quarantine_frac", c.MaxQuarFrac},
+		{"nominal_temp_c", c.NominalTempC}, {"nominal_vdd", c.NominalVdd},
+	} {
+		// The range checks below are all false for NaN.
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("guard: %s must be finite, got %v", f.key, f.v)
+		}
+	}
 	if c.SigmaK < 0 {
 		return fmt.Errorf("guard: sigma must be ≥ 0, got %v", c.SigmaK)
 	}

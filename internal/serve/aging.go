@@ -17,35 +17,19 @@ import (
 // whole-fleet epoch advancement and the odometer telemetry.
 var engineFleetDefault = engine.Spec{TempC: 80, Vdd: 1.2, Duty: 1}
 
-// EngineSchedule is the wire form of a circadian stress/sleep cycle.
-// Both epoch counts zero cancels the cycle.
-type EngineSchedule struct {
-	StressEpochs uint64  `json:"stress_epochs"`
-	SleepEpochs  uint64  `json:"sleep_epochs"`
-	SleepTempC   float64 `json:"sleep_temp_c"`
-	SleepVdd     float64 `json:"sleep_vdd"`
-}
-
-func (s *EngineSchedule) toEngine() *engine.Schedule {
-	if s == nil {
-		return nil
-	}
-	return &engine.Schedule{
-		StressEpochs: s.StressEpochs, SleepEpochs: s.SleepEpochs,
-		SleepTempC: s.SleepTempC, SleepVdd: s.SleepVdd,
-	}
-}
-
-// EngineChipSpec registers one chip with the aging engine.
-type EngineChipSpec struct {
-	ID    string  `json:"id"`
-	Phase string  `json:"phase,omitempty"` // "stress" (default) or "sleep"
-	TempC float64 `json:"temp_c"`
-	Vdd   float64 `json:"vdd"`
-	Duty  float64 `json:"duty"`
-	// Schedule, when set, books a circadian stress/sleep cycle.
-	Schedule *EngineSchedule `json:"schedule,omitempty"`
-}
+// The engine's write bodies are its own types (see engine.Spec), aliased
+// here beside the engine's response types.
+type (
+	// EngineSchedule is the wire form of a circadian stress/sleep
+	// cycle. Both epoch counts zero cancels the cycle.
+	EngineSchedule = engine.Schedule
+	// EngineChipSpec registers one chip with the aging engine.
+	EngineChipSpec = engine.Spec
+	// EngineConditionRequest is the POST
+	// /v1/engine/chips/{id}/condition body: the chip's new phase,
+	// corner, and duty cycle.
+	EngineConditionRequest = engine.Cond
+)
 
 // EngineRegisterRequest is the POST /v1/engine/chips:batch body.
 type EngineRegisterRequest struct {
@@ -66,15 +50,6 @@ type EngineRegisterResponse struct {
 	Results    []EngineRegisterResult `json:"results"`
 	Registered int                    `json:"registered"`
 	Failed     int                    `json:"failed"`
-}
-
-// EngineConditionRequest is the POST /v1/engine/chips/{id}/condition
-// body: the chip's new phase, corner, and duty cycle.
-type EngineConditionRequest struct {
-	Phase string  `json:"phase,omitempty"`
-	TempC float64 `json:"temp_c"`
-	Vdd   float64 `json:"vdd"`
-	Duty  float64 `json:"duty"`
 }
 
 // EngineStatusResponse is the GET /v1/engine body.
@@ -152,14 +127,7 @@ func (s *Server) handleEngineRegister(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, err)
 		return
 	}
-	specs := make([]engine.Spec, len(req.Chips))
-	for i, c := range req.Chips {
-		specs[i] = engine.Spec{
-			ID: c.ID, Phase: c.Phase, TempC: c.TempC, Vdd: c.Vdd,
-			Duty: c.Duty, Schedule: c.Schedule.toEngine(),
-		}
-	}
-	regs, err := s.aging.RegisterBatch(r.Context(), specs)
+	regs, err := s.aging.RegisterBatch(r.Context(), req.Chips)
 	if err != nil {
 		s.writeError(w, r, err)
 		return
@@ -174,6 +142,7 @@ func (s *Server) handleEngineRegister(w http.ResponseWriter, r *http.Request) {
 			resp.Registered++
 		}
 	}
+	s.retryIfDegraded(w)
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
@@ -207,10 +176,7 @@ func (s *Server) handleEngineCondition(w http.ResponseWriter, r *http.Request) {
 	if s.engineChipQuarantined(w, r, id) {
 		return
 	}
-	err := s.aging.SetCondition(r.Context(), id, engine.Cond{
-		Phase: req.Phase, TempC: req.TempC, Vdd: req.Vdd, Duty: req.Duty,
-	})
-	if err != nil {
+	if err := s.aging.SetCondition(r.Context(), id, req); err != nil {
 		s.writeError(w, r, err)
 		return
 	}
@@ -231,7 +197,7 @@ func (s *Server) handleEngineSchedule(w http.ResponseWriter, r *http.Request) {
 	if s.engineChipQuarantined(w, r, id) {
 		return
 	}
-	if err := s.aging.SetSchedule(r.Context(), id, *req.toEngine()); err != nil {
+	if err := s.aging.SetSchedule(r.Context(), id, req); err != nil {
 		s.writeError(w, r, err)
 		return
 	}
@@ -367,19 +333,4 @@ func (s *Server) handleEngineTick(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, EngineTickResponse{
 		Ticked: req.Epochs, Epoch: s.aging.Stats().Epoch,
 	})
-}
-
-// engineErrorStatus classifies aging-engine errors for writeError.
-func engineErrorStatus(err error) (int, bool) {
-	var missing engine.NotFoundError
-	var dup engine.DuplicateError
-	switch {
-	case errors.As(err, &missing):
-		return http.StatusNotFound, true
-	case errors.As(err, &dup):
-		return http.StatusConflict, true
-	case errors.Is(err, engine.ErrClosed):
-		return http.StatusServiceUnavailable, true
-	}
-	return 0, false
 }

@@ -63,6 +63,14 @@ func TestEngineRoutes(t *testing.T) {
 	if reg.Results[2].Error == "" || !strings.Contains(reg.Results[2].Error, "twice") {
 		t.Fatalf("duplicate-in-batch item: %+v", reg.Results[2])
 	}
+	// Only the service registers fleet-backed chips: a kind on the wire
+	// is an unknown field.
+	var er ErrorResponse
+	do(t, ts, "POST", "/v1/engine/chips:batch",
+		`{"chips":[{"id":"k0","kind":"fleet","temp_c":80,"vdd":1.2,"duty":1}]}`, http.StatusBadRequest, &er)
+	if !strings.Contains(er.Error, `unknown field "kind"`) {
+		t.Fatalf("kind in a registration body: %q", er.Error)
+	}
 
 	// Reads see the registration without any epoch having passed.
 	var cv map[string]any

@@ -6,6 +6,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"selfheal/internal/fleet"
+	"selfheal/internal/store"
 )
 
 // gate is the degraded-mode supervisor: the write-path analogue of the
@@ -16,10 +19,12 @@ import (
 // in-memory fleet, and a background probe retries the store with
 // exponential backoff until the storage heals, at which point write
 // mode restores itself. /healthz (liveness) stays green throughout;
-// /readyz (write-readiness) goes red for the episode.
+// /readyz (write-readiness) goes red for the episode. Only gatedStore
+// trips it. Its mutex is a leaf, taken on the commit path under a chip
+// lock or under the engine's tick lock.
 type gate struct {
 	log   *slog.Logger
-	probe func() error  // rechecks the store's durability (fleet.Service.Probe)
+	probe func() error  // rechecks the store's durability (store.Store.Probe)
 	base  time.Duration // first probe delay
 	max   time.Duration // backoff ceiling
 
@@ -57,10 +62,10 @@ func (g *gate) status() (degraded bool, reason string) {
 }
 
 // trip enters degraded mode (idempotently — every failed commit calls
-// it) and starts the recovery probe for the episode. ctx is the
-// request that hit the failure, so the episode-entry log line carries
-// its trace_id — the join key to the failing fsync span under
-// GET /debug/traces.
+// it) and starts the recovery probe for the episode. ctx is the failed
+// commit's, so when a request made the commit the episode-entry log
+// line carries its trace_id — the join key to the failing fsync span
+// under GET /debug/traces.
 func (g *gate) trip(ctx context.Context, err error) {
 	if g == nil {
 		return
@@ -131,6 +136,34 @@ func (g *gate) close() {
 	close(g.stop)
 	g.wg.Wait()
 }
+
+// gatedStore is the one place a write becomes not-durable. serve.New
+// wraps a durable store in it before the fleet and the engine see it,
+// so fleet ops, engine writes, the guard's writes and the engine's own
+// epoch flushes all commit through it: a failed commit trips the gate
+// and comes back as a notDurableError, which writeError answers 503
+// `degraded` wherever the caller wrapped it.
+type gatedStore struct {
+	fleet.Store
+	gate *gate
+}
+
+// Commit commits rec through the wrapped store, tripping the gate on
+// failure.
+func (s gatedStore) Commit(ctx context.Context, rec store.Record) error {
+	err := s.Store.Commit(ctx, rec)
+	if err == nil {
+		return nil
+	}
+	s.gate.trip(ctx, err)
+	return notDurableError{err}
+}
+
+// notDurableError marks a store-commit failure — the storage wearing
+// out, not a bug. Its message is the store's.
+type notDurableError struct{ error }
+
+func (e notDurableError) Unwrap() error { return e.error }
 
 // snapshot exports the gate for /metrics.
 func (g *gate) snapshot(rejected uint64) *DegradedSnapshot {

@@ -8,8 +8,10 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -17,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"selfheal/internal/engine"
 	"selfheal/internal/faults"
 	"selfheal/internal/fleet"
 	"selfheal/internal/store"
@@ -313,4 +316,122 @@ func TestGroupCommitBatchingVisibleInMetrics(t *testing.T) {
 			t.Fatalf("no batch > 1 after %d rounds: %+v", round+1, snap.Journal)
 		}
 	}
+}
+
+// newDegradedEngineServer is a durable server with the aging engine on
+// a manual clock, whose journal writes and fsyncs run through a chaos
+// injector with no probabilistic faults armed.
+func newDegradedEngineServer(t *testing.T) (*faults.Injector, *Server, *httptest.Server) {
+	t.Helper()
+	inj, err := faults.New(faults.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _, err := store.Open[*fleet.ChipEntry](t.TempDir(), store.JournalOptions{
+		Hook:     inj.JournalHook(),
+		SyncHook: inj.JournalSyncHook(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	s, ts := engineTestServer(t, Config{
+		Store:            st,
+		ProbeInterval:    2 * time.Millisecond,
+		ProbeMaxInterval: 10 * time.Millisecond,
+	})
+	return inj, s, ts
+}
+
+// wantDegraded fails unless resp is a 503 with the degraded code and a
+// Retry-After.
+func wantDegraded(t *testing.T, what string, resp *http.Response, raw []byte) {
+	t.Helper()
+	var eb ErrorResponse
+	if err := json.Unmarshal(raw, &eb); err != nil {
+		t.Fatalf("%s: decode %q: %v", what, raw, err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable || eb.Code != CodeDegraded {
+		t.Fatalf("%s: status %d code %q, want 503 %q; body %s", what, resp.StatusCode, eb.Code, CodeDegraded, raw)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("%s: degraded 503 missing Retry-After", what)
+	}
+}
+
+// TestEngineWriteOnFailingDiskTripsGate: an engine write whose commit
+// fails enters degraded mode exactly like a fleet write — 503 degraded
+// with a Retry-After, /readyz red — and the probe restores write mode
+// once the disk recovers.
+func TestEngineWriteOnFailingDiskTripsGate(t *testing.T) {
+	inj, _, ts := newDegradedEngineServer(t)
+	do(t, ts, "POST", "/v1/engine/chips:batch", `{"chips":[{"id":"e1","temp_c":80,"vdd":1.2,"duty":1}]}`, http.StatusOK, nil)
+
+	inj.SetDiskFault(faults.DiskFailFsync, 0)
+	resp, raw := doRaw(t, ts, "POST", "/v1/engine/chips/e1/condition", `{"temp_c":110,"vdd":1.32,"duty":1}`)
+	wantDegraded(t, "condition on failing disk", resp, raw)
+	if resp, raw := doRaw(t, ts, "GET", "/readyz", ""); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("/readyz after failed engine write: status %d, want 503; body %s", resp.StatusCode, raw)
+	}
+	resp, raw = doRaw(t, ts, "POST", "/v1/engine/chips/e1/schedule", `{"stress_epochs":2,"sleep_epochs":2,"sleep_temp_c":110,"sleep_vdd":-0.3}`)
+	wantDegraded(t, "schedule while degraded", resp, raw)
+
+	inj.SetDiskFault(faults.DiskNone, 0)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if resp, _ := doRaw(t, ts, "GET", "/readyz", ""); resp.StatusCode == http.StatusOK {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("/readyz never recovered after the disk fault cleared")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	do(t, ts, "POST", "/v1/engine/chips/e1/condition", `{"temp_c":110,"vdd":1.32,"duty":1}`, http.StatusOK, nil)
+}
+
+// TestEngineFlushFailureTripsGate: ticks whose epoch flush fails trip
+// the gate with no HTTP write involved, so the next registration is
+// turned away at the gate instead of failing per item.
+func TestEngineFlushFailureTripsGate(t *testing.T) {
+	inj, s, ts := newDegradedEngineServer(t)
+	do(t, ts, "POST", "/v1/engine/chips:batch", `{"chips":[{"id":"e1","temp_c":80,"vdd":1.2,"duty":1}]}`, http.StatusOK, nil)
+
+	inj.SetDiskFault(faults.DiskFailFsync, 0)
+	eng := s.AgingEngine()
+	for i := 0; i < 64 && eng.Stats().CommitErrors == 0; i++ {
+		eng.Tick(context.Background())
+	}
+	if eng.Stats().CommitErrors == 0 {
+		t.Fatal("no epoch flush failed in 64 ticks")
+	}
+	if resp, raw := doRaw(t, ts, "GET", "/readyz", ""); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("/readyz after failed epoch flush: status %d, want 503; body %s", resp.StatusCode, raw)
+	}
+	resp, raw := doRaw(t, ts, "POST", "/v1/engine/chips:batch", `{"chips":[{"id":"e2","temp_c":80,"vdd":1.2,"duty":1}]}`)
+	wantDegraded(t, "registration after failed flush", resp, raw)
+}
+
+// TestNonFiniteDutyRefusedBeforeCommit: a NaN or ±Inf duty is a
+// validation error the engine refuses before committing, so it neither
+// counts as a commit error nor takes the node out of write mode.
+func TestNonFiniteDutyRefusedBeforeCommit(t *testing.T) {
+	_, s, ts := newDegradedEngineServer(t)
+	ctx := context.Background()
+	eng := s.AgingEngine()
+	if err := eng.Register(ctx, engine.Spec{ID: "e1", TempC: 80, Vdd: 1.2, Duty: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := eng.Register(ctx, engine.Spec{ID: "bad", TempC: 80, Vdd: 1.2, Duty: d}); err == nil {
+			t.Fatalf("Register with duty %v accepted", d)
+		}
+		if err := eng.SetCondition(ctx, "e1", engine.Cond{TempC: 80, Vdd: 1.2, Duty: d}); err == nil {
+			t.Fatalf("SetCondition with duty %v accepted", d)
+		}
+	}
+	if n := eng.Stats().CommitErrors; n != 0 {
+		t.Fatalf("commit_errors = %d after refused duties, want 0", n)
+	}
+	do(t, ts, "GET", "/readyz", "", http.StatusOK, nil)
 }

@@ -50,6 +50,14 @@ func TestGuardConfigRoute(t *testing.T) {
 		t.Fatalf("reconfigured = %+v", status.Status.Config)
 	}
 	do(t, ts, "POST", "/v1/guard/config", `{"spec":"streak=0"}`, http.StatusBadRequest, nil)
+	// A non-finite value slips every range check unless refused as such.
+	for _, spec := range []string{"sigma=NaN", "rate_floor=+Inf", "nominal_vdd=-Inf"} {
+		do(t, ts, "POST", "/v1/guard/config", `{"spec":"`+spec+`"}`, http.StatusBadRequest, nil)
+	}
+	do(t, ts, "GET", "/v1/guard", "", http.StatusOK, &status)
+	if status.Status.Config.SigmaK != 6 || status.Status.Config.Streak != 3 {
+		t.Fatalf("refused specs changed the config: %+v", status.Status.Config)
+	}
 	do(t, ts, "GET", "/v1/guard/alerts?limit=bogus", "", http.StatusBadRequest, nil)
 	var alerts GuardAlertsResponse
 	do(t, ts, "GET", "/v1/guard/alerts?limit=5", "", http.StatusOK, &alerts)

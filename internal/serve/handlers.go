@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"selfheal/internal/engine"
 	"selfheal/internal/faults"
 	"selfheal/internal/fleet"
 )
@@ -45,34 +46,29 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Write(buf.Bytes())
 }
 
-// writeError classifies an error into a status code: missing chips are
-// 404, duplicate ids and kind mismatches 409, an oversized body 413, a
-// cancelled or timed-out request 503, injected faults 500, everything
-// else a validation 400. A store commit failure is the storage wearing
-// out, not a bug: it answers 503 with the `degraded` code and a
-// Retry-After, and trips the degraded-mode supervisor so subsequent
-// writes are rejected at the gate while the recovery probe works. The
-// response carries the request ID so failures are correlatable in the
-// logs.
+// writeError is the one classifier from an error to a status code:
+// missing chips are 404, duplicate ids and kind mismatches 409, an
+// oversized body 413, a cancelled or timed-out request or a closed
+// engine 503, injected faults 500, everything else a validation 400. A
+// store commit failure — a notDurableError, however the fleet or the
+// engine wrapped it — is the storage wearing out, not a bug: it
+// answers 503 with the `degraded` code and a Retry-After (the store
+// seam has already tripped the gate). The response carries the request
+// ID so failures are correlatable in the logs.
 func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 	status := http.StatusBadRequest
 	code := ""
 	var dup fleet.DuplicateError
 	var missing fleet.NotFoundError
-	var notDurable fleet.NotDurableError
+	var engDup engine.DuplicateError
+	var engMissing engine.NotFoundError
+	var notDurable notDurableError
 	var quarantined fleet.QuarantinedError
 	var tooBig *http.MaxBytesError
-	if st, ok := engineErrorStatus(err); ok {
-		s.writeJSON(w, st, ErrorResponse{
-			Error:     err.Error(),
-			RequestID: RequestIDFrom(r.Context()),
-		})
-		return
-	}
 	switch {
-	case errors.As(err, &missing):
+	case errors.As(err, &missing), errors.As(err, &engMissing):
 		status = http.StatusNotFound
-	case errors.As(err, &dup), errors.Is(err, fleet.ErrKindMismatch):
+	case errors.As(err, &dup), errors.As(err, &engDup), errors.Is(err, fleet.ErrKindMismatch):
 		status = http.StatusConflict
 	case errors.As(err, &tooBig):
 		status = http.StatusRequestEntityTooLarge
@@ -85,14 +81,14 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 		w.Header().Set("Retry-After", s.retryAfterSecs())
 	case errors.As(err, &notDurable):
 		// Checked before ErrInjected: an injected *journal* fault is
-		// still a real durability failure from the fleet's view.
+		// still a real durability failure.
 		status = http.StatusServiceUnavailable
 		code = CodeDegraded
 		w.Header().Set("Retry-After", s.retryAfterSecs())
-		s.gate.trip(r.Context(), err)
 	case errors.Is(err, faults.ErrInjected):
 		status = http.StatusInternalServerError
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded),
+		errors.Is(err, engine.ErrClosed):
 		status = http.StatusServiceUnavailable
 	}
 	s.writeJSON(w, status, ErrorResponse{
@@ -100,6 +96,15 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 		Code:      code,
 		RequestID: RequestIDFrom(r.Context()),
 	})
+}
+
+// retryIfDegraded hints a Retry-After on a batch response when the
+// gate is degraded after the batch ran: some item's commit failed, and
+// its per-item result says which.
+func (s *Server) retryIfDegraded(w http.ResponseWriter) {
+	if degraded, _ := s.gate.status(); degraded {
+		w.Header().Set("Retry-After", s.retryAfterSecs())
+	}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -200,19 +205,28 @@ func checkBatchSize(n int) error {
 	return nil
 }
 
-// tripOnBatchFailures scans a batch's per-item errors for durability
-// failures and trips the degraded-mode supervisor on the first one, so
-// a batch that wore out the storage suspends subsequent writes exactly
-// like a single failed request would.
-func (s *Server) tripOnBatchFailures(w http.ResponseWriter, r *http.Request, errs []error) {
-	for _, err := range errs {
-		var notDurable fleet.NotDurableError
-		if errors.As(err, &notDurable) {
-			w.Header().Set("Retry-After", s.retryAfterSecs())
-			s.gate.trip(r.Context(), err)
-			return
+// placeBatch runs a batch's items for chips this node owns through run
+// and refuses the rest per item with a wrong_node result (in cluster
+// mode a batch can span owners, so it is never forwarded whole; the
+// cluster client partitions by owner before sending). Results keep the
+// batch's order.
+func placeBatch[T, R any](s *Server, items []T, id func(T) string, refuse func(it T, msg, code string) R, run func([]T) []R) []R {
+	results := make([]R, len(items))
+	owned := make([]T, 0, len(items))
+	idx := make([]int, 0, len(items))
+	for i, it := range items {
+		if !s.ownsChip(id(it)) {
+			msg, code := s.wrongNodeItem(id(it))
+			results[i] = refuse(it, msg, code)
+			continue
 		}
+		owned = append(owned, it)
+		idx = append(idx, i)
 	}
+	for k, res := range run(owned) {
+		results[idx[k]] = res
+	}
+	return results
 }
 
 // handleBatchCreate is POST /v1/chips:batch: bulk fabrication on the
@@ -228,40 +242,24 @@ func (s *Server) handleBatchCreate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, err)
 		return
 	}
-	// In cluster mode, items for chips other nodes own are refused per
-	// item (a batch can span owners, so it is never forwarded whole);
-	// the cluster client partitions by owner before sending.
-	results := make([]BatchCreateResult, len(req.Chips))
-	owned := make([]CreateChipRequest, 0, len(req.Chips))
-	idx := make([]int, 0, len(req.Chips))
-	for i, sp := range req.Chips {
-		if !s.ownsChip(sp.ID) {
-			msg, code := s.wrongNodeItem(sp.ID)
-			results[i] = BatchCreateResult{ID: sp.ID, Error: msg, Code: code}
-			continue
-		}
-		owned = append(owned, sp)
-		idx = append(idx, i)
-	}
-	for k, res := range s.fleet.CreateBatch(r.Context(), owned) {
-		results[idx[k]] = res
-	}
+	results := placeBatch(s, req.Chips,
+		func(c CreateChipRequest) string { return c.ID },
+		func(c CreateChipRequest, msg, code string) BatchCreateResult {
+			return BatchCreateResult{ID: c.ID, Error: msg, Code: code}
+		},
+		func(owned []CreateChipRequest) []BatchCreateResult { return s.fleet.CreateBatch(r.Context(), owned) })
 	resp := BatchCreateResponse{Results: results}
-	errs := make([]error, 0, len(results))
 	created := make([]string, 0, len(results))
 	for _, res := range results {
-		if res.Err != nil || res.Error != "" {
+		if res.Error != "" {
 			resp.Failed++
-			if res.Err != nil {
-				errs = append(errs, res.Err)
-			}
 		} else {
 			resp.Created++
 			created = append(created, res.ID)
 		}
 	}
 	s.engineObserveCreates(r, created...)
-	s.tripOnBatchFailures(w, r, errs)
+	s.retryIfDegraded(w)
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
@@ -278,35 +276,21 @@ func (s *Server) handleBatchOps(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, err)
 		return
 	}
-	// Placement enforcement mirrors handleBatchCreate.
-	results := make([]BatchOpResult, len(req.Ops))
-	owned := make([]BatchOpSpec, 0, len(req.Ops))
-	idx := make([]int, 0, len(req.Ops))
-	for i, op := range req.Ops {
-		if !s.ownsChip(op.ID) {
-			msg, code := s.wrongNodeItem(op.ID)
-			results[i] = BatchOpResult{Op: op.Op, ID: op.ID, Error: msg, Code: code}
-			continue
-		}
-		owned = append(owned, op)
-		idx = append(idx, i)
-	}
-	for k, res := range s.fleet.ApplyBatch(r.Context(), owned) {
-		results[idx[k]] = res
-	}
+	results := placeBatch(s, req.Ops,
+		func(op BatchOpSpec) string { return op.ID },
+		func(op BatchOpSpec, msg, code string) BatchOpResult {
+			return BatchOpResult{Op: op.Op, ID: op.ID, Error: msg, Code: code}
+		},
+		func(owned []BatchOpSpec) []BatchOpResult { return s.fleet.ApplyBatch(r.Context(), owned) })
 	resp := BatchOpsResponse{Results: results}
-	errs := make([]error, 0, len(results))
 	for _, res := range results {
-		if res.Err != nil || res.Error != "" {
+		if res.Error != "" {
 			resp.Failed++
-			if res.Err != nil {
-				errs = append(errs, res.Err)
-			}
 		} else {
 			resp.Succeeded++
 		}
 	}
-	s.tripOnBatchFailures(w, r, errs)
+	s.retryIfDegraded(w)
 	s.writeJSON(w, http.StatusOK, resp)
 }
 

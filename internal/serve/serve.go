@@ -203,17 +203,9 @@ type Server struct {
 // deterministic per seed, so re-running the persisted operations lands
 // every chip on its exact pre-shutdown aged state (including the usage
 // accounting under /metrics).
-func New(cfg Config) (*Server, error) {
+func New(cfg Config) (_ *Server, err error) {
 	cfg = cfg.withDefaults()
 	predict, err := NewPredictor(cfg.CacheSize)
-	if err != nil {
-		return nil, err
-	}
-	st := cfg.Store
-	if st == nil {
-		st = store.NewMem[*fleet.ChipEntry]()
-	}
-	fl, err := fleet.NewService(st, fleet.WithBatchWorkers(cfg.BatchWorkers))
 	if err != nil {
 		return nil, err
 	}
@@ -223,12 +215,32 @@ func New(cfg Config) (*Server, error) {
 		// carries the trace_id of the request that emitted it (a no-op
 		// for handlers already wrapped, e.g. by cmd/selfheal-serve).
 		log:     slog.New(obs.WithTraceIDs(cfg.Logger.Handler())),
-		fleet:   fl,
 		predict: predict,
 		metrics: NewMetrics(),
 		faults:  cfg.Faults,
 		tracer:  obs.NewTracer(cfg.TraceBuffer),
 		sem:     make(chan struct{}, cfg.MaxInFlight),
+	}
+	// A failed commit during startup (the engine's fleet sync) may have
+	// started the gate's probe; a failed New stops it with the engine.
+	defer func() {
+		if err != nil {
+			s.Close()
+		}
+	}()
+	st := cfg.Store
+	if st == nil {
+		st = store.NewMem[*fleet.ChipEntry]()
+	}
+	if st.Durable() {
+		s.gate = newGate(s.log, st.Probe, cfg.ProbeInterval, cfg.ProbeMaxInterval)
+		st = gatedStore{Store: st, gate: s.gate}
+	}
+	if s.fleet, err = fleet.NewService(st, fleet.WithBatchWorkers(cfg.BatchWorkers)); err != nil {
+		return nil, err
+	}
+	if n := s.fleet.ReplayedRecords(); n > 0 {
+		s.log.Info("store history replayed", "records", n, "chips", s.fleet.Len())
 	}
 	if s.cluster, err = newClusterState(cfg.Cluster); err != nil {
 		return nil, err
@@ -244,18 +256,11 @@ func New(cfg Config) (*Server, error) {
 	// starting more than two intervals late is unambiguously behind.
 	lagBudget := 2 * cfg.EngineEpoch.Seconds()
 	s.telem = newTelemetry(cfg.TelemetryEpochs, newSLOMonitor(sloConfig{LagBudget: lagBudget}))
-	if fl.Durable() {
-		s.gate = newGate(s.log, fl.Probe, cfg.ProbeInterval, cfg.ProbeMaxInterval)
-		if n := fl.ReplayedRecords(); n > 0 {
-			s.log.Info("store history replayed", "records", n, "chips", fl.Len())
-		}
-	}
 	var guardCfg guard.Config
 	if cfg.GuardEnabled {
 		if !cfg.EngineEnabled {
 			return nil, fmt.Errorf("serve: the guard requires the aging engine; enable it too")
 		}
-		var err error
 		if guardCfg, err = guard.Parse(cfg.GuardSpec); err != nil {
 			return nil, err
 		}
@@ -275,16 +280,13 @@ func New(cfg Config) (*Server, error) {
 		// The hook reads s.aging and s.guard, wired below before the
 		// wall-clock ticker starts (Start, last in New).
 		ecfg.OnEpoch = s.onEpoch
-		aging, err := engine.New(st, ecfg)
-		if err != nil {
+		if s.aging, err = engine.New(st, ecfg); err != nil {
 			return nil, err
 		}
-		s.aging = aging
 		if err := s.syncEngineFleet(); err != nil {
-			aging.Close()
 			return nil, err
 		}
-		est := aging.Stats()
+		est := s.aging.Stats()
 		s.log.Info("fleet aging engine started",
 			"chips", est.Chips, "epoch", est.Epoch,
 			"epoch_hours", cfg.EngineEpochHours, "interval", interval)
@@ -293,22 +295,18 @@ func New(cfg Config) (*Server, error) {
 			// dedicated FPGA-model chip owned by the guard.
 			spare, err := fpga.NewChip("guard-spare", fpga.DefaultParams(), rng.New(1))
 			if err != nil {
-				aging.Close()
 				return nil, err
 			}
-			gd, err := guard.New(guard.Deps{
-				Engine:    aging,
-				Fleet:     fl,
+			if s.guard, err = guard.New(guard.Deps{
+				Engine:    s.aging,
+				Fleet:     s.fleet,
 				Adversary: cfg.Adversary,
 				Spare:     spare,
 				Tracer:    s.tracer,
 				Log:       s.log,
-			}, guardCfg)
-			if err != nil {
-				aging.Close()
+			}, guardCfg); err != nil {
 				return nil, err
 			}
-			s.guard = gd
 			s.log.Info("guard started", "spec", guardCfg.String(),
 				"adversary", cfg.Adversary != nil)
 		}

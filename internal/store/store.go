@@ -30,6 +30,11 @@
 // but must never take a chip lock from inside a visitor that could
 // still be under a store lock.
 //
+// The serve layer wraps the store it is given so that a failed Commit
+// trips its degraded-mode gate. The gate's mutex is a leaf, taken on
+// the commit path under a chip lock or under the aging engine's tick
+// lock, never with a shard lock held.
+//
 // The hierarchy is asserted by TestShardCollisionHammer (and the fleet
 // package's collision test), which drive create/delete/op traffic onto
 // ids that collide onto one shard under the race detector.

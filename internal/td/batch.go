@@ -71,10 +71,10 @@ func NewBatch(capacity int) *Batch {
 // Len reports the number of devices in the batch.
 func (b *Batch) Len() int { return b.n }
 
-// validDuty rejects the inputs the scalar path would silently poison
+// ValidDuty rejects the inputs the scalar path would silently poison
 // the state with: a NaN duty survives units.Clamp (every comparison
 // with NaN is false) and then propagates through Pow into Vth.
-func validDuty(d float64) error {
+func ValidDuty(d float64) error {
 	if math.IsNaN(d) || math.IsInf(d, 0) {
 		return fmt.Errorf("td: duty cycle must be finite, got %v", d)
 	}
@@ -85,7 +85,7 @@ func validDuty(d float64) error {
 // index. The duty is clamped into [0,1] exactly like the scalar path;
 // NaN/Inf are rejected.
 func (b *Batch) Append(p Params, d float64) (int, error) {
-	if err := validDuty(d); err != nil {
+	if err := ValidDuty(d); err != nil {
 		return 0, err
 	}
 	d = effDuty(d)
@@ -110,7 +110,7 @@ func (b *Batch) Append(p Params, d float64) (int, error) {
 // effectiveness factor (the one Pow the batch pays per duty *change*
 // instead of per step).
 func (b *Batch) SetDuty(p Params, i int, d float64) error {
-	if err := validDuty(d); err != nil {
+	if err := ValidDuty(d); err != nil {
 		return err
 	}
 	d = effDuty(d)
