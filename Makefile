@@ -58,8 +58,9 @@ bench: bench-engine
 	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/store
 
 ## bench-engine: refresh BENCH_engine.json from the engine tick and
-## per-epoch hooks benchmarks (10k/100k/1M chips) and the td
-## batch-vs-scalar kernel pair
+## per-epoch hooks benchmarks (10k/100k/1M chips), the td
+## batch-vs-scalar kernel pair and the fleet-chip rows (fabricate, 1 h
+## DC phase, averaged read, live heap); run as GOMAXPROCS=1 make bench-engine
 bench-engine:
 	$(GO) run ./scripts/bench-engine
 

@@ -71,8 +71,8 @@ func TestFreshDelayAtNominal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(d-tr.Params.Td0NS) > 1e-12 {
-		t.Errorf("fresh delay = %v, want Td0 %v", d, tr.Params.Td0NS)
+	if math.Abs(d-tr.Params().Td0NS) > 1e-12 {
+		t.Errorf("fresh delay = %v, want Td0 %v", d, tr.Params().Td0NS)
 	}
 }
 
@@ -88,7 +88,7 @@ func TestDelayGrowsWithAging(t *testing.T) {
 		t.Errorf("aged delay %v not above fresh %v", aged, fresh)
 	}
 	// Eq. 6 check: Δtd = td0·ΔVth/(Vdd−Vth0).
-	want := fresh * tr.Aging.Vth() / 0.8
+	want := fresh * tr.VthShift() / 0.8
 	if math.Abs((aged-fresh)-want) > 1e-12 {
 		t.Errorf("Δtd = %v, want %v", aged-fresh, want)
 	}
@@ -129,7 +129,7 @@ func TestRecoverReducesDelay(t *testing.T) {
 	if healed >= aged {
 		t.Errorf("recovery did not reduce delay: %v -> %v", aged, healed)
 	}
-	fresh := tr.Params.Td0NS
+	fresh := tr.Params().Td0NS
 	if healed < fresh {
 		t.Errorf("recovered below fresh delay: %v < %v", healed, fresh)
 	}
@@ -153,7 +153,7 @@ func TestNegativeVrevMagnitude(t *testing.T) {
 func TestLeakageDropsWithAging(t *testing.T) {
 	tr := New("m1", NMOS, DefaultParams())
 	fresh := tr.Leakage()
-	if fresh != tr.Params.Ileak0NA {
+	if fresh != tr.Params().Ileak0NA {
 		t.Errorf("fresh leakage = %v", fresh)
 	}
 	tr.Stress(td.DefaultParams(), 1.2, hot, 1, 24*units.Hour)
@@ -169,7 +169,7 @@ func TestLeakageDecadePerSwing(t *testing.T) {
 	// verify via the closed-form relationship on a small known shift.
 	tr.Stress(td.DefaultParams(), 1.2, hot, 1, 24*units.Hour)
 	shift := tr.VthShift()
-	want := tr.Params.Ileak0NA * math.Pow(10, -shift/0.09)
+	want := tr.Params().Ileak0NA * math.Pow(10, -shift/0.09)
 	if got := tr.Leakage(); math.Abs(got-want) > 1e-9 {
 		t.Errorf("leakage = %v, want %v", got, want)
 	}
@@ -186,7 +186,7 @@ func TestReset(t *testing.T) {
 
 func TestPathDelay(t *testing.T) {
 	p := DefaultParams()
-	path := []*Transistor{New("a", NMOS, p), New("b", NMOS, p), New("c", PMOS, p), New("d", NMOS, p)}
+	path := []Transistor{New("a", NMOS, p), New("b", NMOS, p), New("c", PMOS, p), New("d", NMOS, p)}
 	got, err := PathDelay(1.2, path)
 	if err != nil {
 		t.Fatal(err)
@@ -239,5 +239,85 @@ func BenchmarkDelay(b *testing.B) {
 		if _, err := tr.Delay(1.2); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestFabricStepMatchesStandalone steps a fabric through random duties
+// and conditions and every transistor of an identical set of
+// standalone devices through the same actions one by one: each
+// transistor's shift and delay must agree bit for bit, so aging by
+// class loses nothing.
+func TestFabricStepMatchesStandalone(t *testing.T) {
+	const n = 40
+	p := DefaultParams()
+	tp := td.DefaultParams()
+	kinds := make([]Kind, n)
+	f := NewFabric(p, kinds, func(i int) string { return "f" })
+	solo := make([]Transistor, n)
+	for i := range solo {
+		solo[i] = New("s", NMOS, p)
+	}
+	duties := []float64{0, 0.25, 0.5, 1}
+	seed := uint64(12345)
+	next := func(m int) int {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		return int(seed>>33) % m
+	}
+	for step := 0; step < 60; step++ {
+		temp := units.Celsius(20 + 45*next(3)).Kelvin()
+		dt := units.Seconds(1 + next(4)*1800)
+		if next(4) == 0 {
+			vrev := units.Volt(0.3 * float64(next(2)))
+			f.Sleep(tp, vrev, temp, dt)
+			for _, s := range solo {
+				s.Recover(tp, vrev, temp, dt)
+			}
+			continue
+		}
+		f.BeginStep(tp, 1.2, temp, dt)
+		for i := 0; i < n; i++ {
+			if next(5) == 0 {
+				continue // not driven: holds its state
+			}
+			d := duties[next(len(duties))]
+			f.Act(i, []float64{d})
+			switch {
+			case d > 0:
+				solo[i].Stress(tp, 1.2, temp, d, dt)
+			case solo[i].VthShift() > 0:
+				solo[i].Recover(tp, 0, temp, dt)
+			}
+		}
+		f.EndStep()
+	}
+	for i, s := range solo {
+		got, want := f.At(i), s
+		if math.Float64bits(got.VthShift()) != math.Float64bits(want.VthShift()) {
+			t.Fatalf("transistor %d: shift %v, standalone %v", i, got.VthShift(), want.VthShift())
+		}
+		gd, _ := got.Delay(1.2)
+		wd, _ := want.Delay(1.2)
+		if math.Float64bits(gd) != math.Float64bits(wd) {
+			t.Fatalf("transistor %d: delay %v, standalone %v", i, gd, wd)
+		}
+	}
+}
+
+// TestFabricViewMutationSplitsClass checks that aging one view moves
+// only that transistor, and that resetting it rejoins the fresh class.
+func TestFabricViewMutationSplitsClass(t *testing.T) {
+	f := NewFabric(DefaultParams(), make([]Kind, 4), func(i int) string { return "t" })
+	f.At(1).Stress(td.DefaultParams(), 1.2, hot, 1, units.Hour)
+	for i := 0; i < 4; i++ {
+		if aged := f.At(i).VthShift() > 0; aged != (i == 1) {
+			t.Errorf("transistor %d aged = %v", i, aged)
+		}
+	}
+	if c := f.Classes(); c != 2 {
+		t.Errorf("%d classes after aging one view, want 2", c)
+	}
+	f.At(1).Reset()
+	if c := f.Classes(); c != 1 || f.At(1).VthShift() != 0 {
+		t.Errorf("after reset: %d classes, shift %v", c, f.At(1).VthShift())
 	}
 }

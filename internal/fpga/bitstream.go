@@ -17,19 +17,17 @@ const usedBit = 1 << 4
 // ExtractBitstream serializes the current configuration.
 func (c *Chip) ExtractBitstream() Bitstream {
 	bs := make(Bitstream, 0, c.params.Rows*c.params.Cols)
-	for y := 0; y < c.params.Rows; y++ {
-		for x := 0; x < c.params.Cols; x++ {
-			var b byte
-			for bit, v := range c.grid[y][x].Config() {
-				if v {
-					b |= 1 << bit
-				}
+	for i := range c.cells {
+		var b byte
+		for bit, v := range c.cells[i].Config() {
+			if v {
+				b |= 1 << bit
 			}
-			if c.used[y][x] {
-				b |= usedBit
-			}
-			bs = append(bs, b)
 		}
+		if c.used[i] {
+			b |= usedBit
+		}
+		bs = append(bs, b)
 	}
 	return bs
 }
@@ -48,13 +46,12 @@ func (c *Chip) LoadBitstream(bs Bitstream) error {
 		}
 	}
 	for i, b := range bs {
-		y, x := i/c.params.Cols, i%c.params.Cols
 		var cfg [4]bool
 		for bit := range cfg {
 			cfg[bit] = b>>bit&1 == 1
 		}
-		c.grid[y][x].Configure(cfg)
-		c.used[y][x] = b&usedBit != 0
+		c.cells[i].Configure(cfg)
+		c.used[i] = b&usedBit != 0
 	}
 	return nil
 }

@@ -6,9 +6,11 @@
 // delay rather than absolute frequency.
 //
 // The paper's five "Chip 1…5" become five NewChip calls with distinct
-// variation seeds; every transistor on every chip carries its own aging
-// state, so the stress engine (package stress) can reproduce the
-// paper's accelerated test schedule cell by cell.
+// variation seeds. Every transistor on a chip carries its own sampled
+// Vth0 and Td0 and the aging state of its duty-history class in the
+// die's device.Fabric, so the stress engine (package stress) can
+// reproduce the paper's accelerated test schedule cell by cell while
+// integrating each class once.
 package fpga
 
 import (
@@ -78,13 +80,15 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// Chip is one FPGA die: a grid of LUT cells with per-transistor aging
-// state and sampled process variation.
+// Chip is one FPGA die: a grid of LUT cells with sampled process
+// variation, whose transistors share one device.Fabric that ages them
+// by duty-history class.
 type Chip struct {
 	id     string
 	params Params
-	grid   [][]*lut.LUT2
-	used   [][]bool
+	cells  []lut.LUT2 // row-major: cell (x, y) at y·Cols + x
+	used   []bool
+	fab    *device.Fabric
 	// chipFactor is this die's global delay multiplier from
 	// chip-to-chip variation.
 	chipFactor float64
@@ -99,8 +103,7 @@ func NewChip(id string, p Params, src *rng.Source) (*Chip, error) {
 	c := &Chip{
 		id:         id,
 		params:     p,
-		grid:       make([][]*lut.LUT2, p.Rows),
-		used:       make([][]bool, p.Rows),
+		used:       make([]bool, p.Rows*p.Cols),
 		chipFactor: 1 + src.NormalWith(0, p.ChipSigmaFrac),
 	}
 	if c.chipFactor < 0.5 {
@@ -108,17 +111,18 @@ func NewChip(id string, p Params, src *rng.Source) (*Chip, error) {
 		// keep delay positive under any draw.
 		c.chipFactor = 0.5
 	}
-	for y := range c.grid {
-		c.grid[y] = make([]*lut.LUT2, p.Cols)
-		c.used[y] = make([]bool, p.Cols)
-		for x := range c.grid[y] {
-			cell := lut.New(fmt.Sprintf("%s.X%dY%d", id, x, y), p.Device)
-			for _, tr := range cell.Transistors() {
-				tr.Params.Td0NS *= c.chipFactor * (1 + src.NormalWith(0, p.LocalSigmaFrac))
-				tr.Params.Vth0 += units.Volt(src.NormalWith(0, p.VthSigmaV))
-			}
-			c.grid[y][x] = cell
-		}
+	c.cells = lut.NewCells(p.Rows*p.Cols, p.Device, func(i int) string {
+		return fmt.Sprintf("%s.X%dY%d", id, i%p.Cols, i/p.Cols)
+	})
+	c.fab, _ = c.cells[0].Fabric()
+	// Draw each transistor's variation in fabric order (row-major
+	// cells, each cell's devices in netlist order), Td0 before Vth0:
+	// every chip a seed fabricates, and so every journal, depends on
+	// this order.
+	for i := 0; i < c.fab.Len(); i++ {
+		td0 := p.Device.Td0NS * (c.chipFactor * (1 + src.NormalWith(0, p.LocalSigmaFrac)))
+		vth0 := p.Device.Vth0 + units.Volt(src.NormalWith(0, p.VthSigmaV))
+		c.fab.Vary(i, vth0, td0)
 	}
 	return c, nil
 }
@@ -141,7 +145,7 @@ func (c *Chip) LUT(x, y int) (*lut.LUT2, error) {
 		return nil, fmt.Errorf("fpga: cell (%d,%d) outside %dx%d grid",
 			x, y, c.params.Cols, c.params.Rows)
 	}
-	return c.grid[y][x], nil
+	return &c.cells[y*c.params.Cols+x], nil
 }
 
 // Used reports whether the cell at (x, y) belongs to a mapped design.
@@ -149,50 +153,40 @@ func (c *Chip) Used(x, y int) bool {
 	if y < 0 || y >= c.params.Rows || x < 0 || x >= c.params.Cols {
 		return false
 	}
-	return c.used[y][x]
+	return c.used[y*c.params.Cols+x]
 }
 
 // Cells calls f for every cell with its coordinates and used flag.
 func (c *Chip) Cells(f func(x, y int, cell *lut.LUT2, used bool)) {
-	for y := range c.grid {
-		for x := range c.grid[y] {
-			f(x, y, c.grid[y][x], c.used[y][x])
-		}
+	for i := range c.cells {
+		f(i%c.params.Cols, i/c.params.Cols, &c.cells[i], c.used[i])
 	}
 }
 
+// Fabric returns the fabric holding every transistor on the die, cell
+// by cell in row-major order.
+func (c *Chip) Fabric() *device.Fabric { return c.fab }
+
 // Transistors calls f for every transistor on the die.
-func (c *Chip) Transistors(f func(tr *device.Transistor)) {
-	c.Cells(func(_, _ int, cell *lut.LUT2, _ bool) {
-		for _, tr := range cell.Transistors() {
-			f(tr)
-		}
-	})
+func (c *Chip) Transistors(f func(tr device.Transistor)) {
+	for i := 0; i < c.fab.Len(); i++ {
+		f(c.fab.At(i))
+	}
 }
 
 // Leakage returns the summed subthreshold leakage of the die in
 // nanoamps.
-func (c *Chip) Leakage() float64 {
-	sum := 0.0
-	c.Transistors(func(tr *device.Transistor) { sum += tr.Leakage() })
-	return sum
-}
+func (c *Chip) Leakage() float64 { return c.fab.Leakage() }
 
 // MeanVthShift returns the die-average threshold shift in volts —
 // a convenient scalar health indicator.
-func (c *Chip) MeanVthShift() float64 {
-	sum, n := 0.0, 0
-	c.Transistors(func(tr *device.Transistor) { sum += tr.VthShift(); n++ })
-	return sum / float64(n)
-}
+func (c *Chip) MeanVthShift() float64 { return c.fab.MeanVthShift() }
 
 // Reset returns every transistor to the fresh state and unmaps all
 // designs (configuration is preserved).
 func (c *Chip) Reset() {
-	c.Cells(func(x, y int, cell *lut.LUT2, _ bool) {
-		cell.Reset()
-		c.used[y][x] = false
-	})
+	c.fab.Reset()
+	clear(c.used)
 }
 
 // Mapping is a design placed on a chip: an ordered list of configured
@@ -220,20 +214,18 @@ func (c *Chip) MapCells(name string, n int) (*Mapping, error) {
 		if y%2 == 1 { // snake: odd rows run right-to-left
 			x = c.params.Cols - 1 - x
 		}
-		if c.used[y][x] {
+		ci := y*c.params.Cols + x
+		if c.used[ci] {
 			continue
 		}
-		c.used[y][x] = true
-		m.Cells = append(m.Cells, c.grid[y][x])
+		c.used[ci] = true
+		m.Cells = append(m.Cells, &c.cells[ci])
 	}
 	if len(m.Cells) < n {
 		// Roll back the partial placement.
 		for _, cell := range m.Cells {
-			c.Cells(func(x, y int, cc *lut.LUT2, _ bool) {
-				if cc == cell {
-					c.used[y][x] = false
-				}
-			})
+			_, base := cell.Fabric()
+			c.used[base/lut.NumTransistors] = false
 		}
 		return nil, fmt.Errorf("fpga: %d cells do not fit (%d free cells)",
 			n, c.FreeCells()+len(m.Cells))
@@ -258,11 +250,11 @@ func (c *Chip) MapInverterChain(name string, n int) (*Mapping, error) {
 // FreeCells returns the number of unmapped cells.
 func (c *Chip) FreeCells() int {
 	free := 0
-	c.Cells(func(_, _ int, _ *lut.LUT2, used bool) {
+	for _, used := range c.used {
 		if !used {
 			free++
 		}
-	})
+	}
 	return free
 }
 
@@ -301,14 +293,26 @@ func (m *Mapping) MeasuredDelay(vdd units.Volt) (float64, error) {
 
 // StagePhases returns the activity phases of stage i under DC stress
 // frozen with the chain input at frozenIn0, or under AC (oscillating)
-// stress when ac is true.
+// stress when ac is true. The returned slices are shared, so the stress
+// engine's per-step walk allocates nothing; callers must not modify
+// them.
 func (m *Mapping) StagePhases(i int, ac, frozenIn0 bool) []lut.Phase {
 	if ac {
-		return lut.ACPhase()
+		return acStage
 	}
 	in0 := frozenIn0
 	if i%2 == 1 {
 		in0 = !frozenIn0
 	}
-	return lut.DCPhase(in0, true)
+	if in0 {
+		return dcStage[1]
+	}
+	return dcStage[0]
 }
+
+// The activity patterns StagePhases returns: oscillating, and frozen
+// with the stage input low or high.
+var (
+	acStage = lut.ACPhase()
+	dcStage = [2][]lut.Phase{lut.DCPhase(false, true), lut.DCPhase(true, true)}
+)

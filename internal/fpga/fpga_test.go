@@ -55,7 +55,7 @@ func TestChipConstruction(t *testing.T) {
 		t.Errorf("ID = %q", c.ID())
 	}
 	n := 0
-	c.Transistors(func(*device.Transistor) { n++ })
+	c.Transistors(func(device.Transistor) { n++ })
 	if n != 16*16*int(lut.NumTransistors) {
 		t.Errorf("transistor count = %d", n)
 	}
@@ -88,7 +88,7 @@ func TestWithinDieVariation(t *testing.T) {
 	trs := l.Transistors()
 	same := 0
 	for i := 1; i < len(trs); i++ {
-		if trs[i].Params.Td0NS == trs[0].Params.Td0NS {
+		if trs[i].Params().Td0NS == trs[0].Params().Td0NS {
 			same++
 		}
 	}
@@ -294,7 +294,7 @@ func TestLeakageDropsWithAging(t *testing.T) {
 	c := newChip(t, 13)
 	fresh := c.Leakage()
 	hot := units.Celsius(110).Kelvin()
-	c.Transistors(func(tr *device.Transistor) {
+	c.Transistors(func(tr device.Transistor) {
 		tr.Stress(c.Params().TD, 1.2, hot, 1, 24*units.Hour)
 	})
 	if aged := c.Leakage(); aged >= fresh {
@@ -345,7 +345,7 @@ func TestBitstreamErrors(t *testing.T) {
 func TestBitstreamDoesNotHeal(t *testing.T) {
 	c := newChip(t, 17)
 	hot := units.Celsius(110).Kelvin()
-	c.Transistors(func(tr *device.Transistor) {
+	c.Transistors(func(tr device.Transistor) {
 		tr.Stress(c.Params().TD, 1.2, hot, 1, units.Hour)
 	})
 	before := c.MeanVthShift()

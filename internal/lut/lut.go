@@ -39,6 +39,13 @@
 // selected by a static in1 passes a constant configuration-cell value,
 // so it stays under DC stress even when in0 toggles ("AC stress") —
 // LUT configuration cells never switch in normal operation.
+//
+// # Storage
+//
+// A cell holds no transistor objects: its nine devices are consecutive
+// entries of a device.Fabric shared with every cell fabricated with it
+// (NewCells; a die's whole grid), and Transistors returns views. Names
+// are formatted only when asked for.
 package lut
 
 import (
@@ -64,31 +71,58 @@ const (
 )
 
 // LUT2 is one 2-input pass-transistor look-up table plus its slice of
-// the routing fabric. Create with New and program with Configure.
+// the routing fabric. Its nine devices live in a device.Fabric shared
+// with every cell fabricated alongside it. Create with New or NewCells
+// and program with Configure.
 type LUT2 struct {
-	name string
 	cfg  [4]bool // truth table: cfg[2·in0+in1]
-	trs  [NumTransistors]*device.Transistor
+	base int     // fabric index of M1; device j is at base+j
+	g    *group
 }
 
-// New returns a LUT with all configuration cells zero (constant-false).
-func New(name string, dp device.Params) *LUT2 {
-	l := &LUT2{name: name}
-	kinds := [NumTransistors]device.Kind{
+// group is what cells fabricated together share: the fabric holding
+// their devices and the function naming cell c.
+type group struct {
+	fab  *device.Fabric
+	name func(cell int) string
+}
+
+var (
+	cellKinds = [NumTransistors]device.Kind{
 		M1: device.NMOS, M2: device.NMOS, M3: device.NMOS, M4: device.NMOS,
 		M5: device.NMOS, M6: device.NMOS,
 		BufP: device.PMOS, BufN: device.NMOS,
 		Route: device.NMOS,
 	}
-	labels := [NumTransistors]string{"M1", "M2", "M3", "M4", "M5", "M6", "BufP", "BufN", "Route"}
-	for i := range l.trs {
-		l.trs[i] = device.New(fmt.Sprintf("%s.%s", name, labels[i]), kinds[i], dp)
+	labels = [NumTransistors]string{"M1", "M2", "M3", "M4", "M5", "M6", "BufP", "BufN", "Route"}
+)
+
+// New returns a LUT with all configuration cells zero (constant-false).
+func New(name string, dp device.Params) *LUT2 {
+	return &NewCells(1, dp, func(int) string { return name })[0]
+}
+
+// NewCells returns n fresh cells whose devices share one fabric, cell
+// c's devices at indices c·NumTransistors onward. name formats cell c's
+// name, and is called only when a name is asked for.
+func NewCells(n int, dp device.Params, name func(cell int) string) []LUT2 {
+	kinds := make([]device.Kind, n*NumTransistors)
+	for c := 0; c < n; c++ {
+		copy(kinds[c*NumTransistors:], cellKinds[:])
 	}
-	return l
+	g := &group{name: name}
+	g.fab = device.NewFabric(dp, kinds, func(i int) string {
+		return name(i/NumTransistors) + "." + labels[i%NumTransistors]
+	})
+	cells := make([]LUT2, n)
+	for c := range cells {
+		cells[c] = LUT2{base: c * NumTransistors, g: g}
+	}
+	return cells
 }
 
 // Name returns the instance name given at construction.
-func (l *LUT2) Name() string { return l.name }
+func (l *LUT2) Name() string { return l.g.name(l.base / NumTransistors) }
 
 // Configure programs the truth table; cfg[2·in0+in1] is the output for
 // inputs (in0, in1).
@@ -126,9 +160,22 @@ func idx(in0, in1 bool) int {
 	return i
 }
 
-// Transistors returns all nine devices in netlist order (index with the
-// M1…Route constants). The returned slice aliases the LUT's devices.
-func (l *LUT2) Transistors() []*device.Transistor { return l.trs[:] }
+// Transistors returns views of all nine devices in netlist order
+// (index with the M1…Route constants).
+func (l *LUT2) Transistors() []device.Transistor {
+	out := make([]device.Transistor, NumTransistors)
+	for j := range out {
+		out[j] = l.tr(j)
+	}
+	return out
+}
+
+// tr returns a view of device j (M1…Route).
+func (l *LUT2) tr(j int) device.Transistor { return l.g.fab.At(l.base + j) }
+
+// Fabric returns the fabric holding the cell's devices and the index
+// of its M1 there; device j (M1…Route) is at base+j.
+func (l *LUT2) Fabric() (f *device.Fabric, base int) { return l.g.fab, l.base }
 
 // muxOut returns the internal (complemented) mux output for the inputs.
 func (l *LUT2) muxOut(in0, in1 bool) bool { return !l.cfg[idx(in0, in1)] }
@@ -165,12 +212,12 @@ func (l *LUT2) StressedMask(in0, in1 bool) [NumTransistors]bool {
 
 // StressSet returns the transistors under stress for a static input
 // pattern, in netlist order.
-func (l *LUT2) StressSet(in0, in1 bool) []*device.Transistor {
+func (l *LUT2) StressSet(in0, in1 bool) []device.Transistor {
 	mask := l.StressedMask(in0, in1)
-	var out []*device.Transistor
+	var out []device.Transistor
 	for i, stressed := range mask {
 		if stressed {
-			out = append(out, l.trs[i])
+			out = append(out, l.tr(i))
 		}
 	}
 	return out
@@ -179,32 +226,51 @@ func (l *LUT2) StressSet(in0, in1 bool) []*device.Transistor {
 // ConductingPath returns the path of interest for the given inputs: the
 // transistors a transition propagates through, from the selected level-1
 // pass transistor to the routing switch (logic depth 4).
-func (l *LUT2) ConductingPath(in0, in1 bool) []*device.Transistor {
-	var level1, level2 *device.Transistor
+func (l *LUT2) ConductingPath(in0, in1 bool) []device.Transistor {
+	path := l.path(in0, in1)
+	out := make([]device.Transistor, len(path))
+	for i, j := range path {
+		out[i] = l.tr(j)
+	}
+	return out
+}
+
+// path returns the devices of the path of interest, level 1 first.
+func (l *LUT2) path(in0, in1 bool) [4]int {
+	var level1, level2 int
 	switch {
 	case in0 && in1:
-		level1, level2 = l.trs[M3], l.trs[M5]
+		level1, level2 = M3, M5
 	case in0 && !in1:
-		level1, level2 = l.trs[M4], l.trs[M5]
+		level1, level2 = M4, M5
 	case !in0 && in1:
-		level1, level2 = l.trs[M1], l.trs[M6]
+		level1, level2 = M1, M6
 	default:
-		level1, level2 = l.trs[M2], l.trs[M6]
+		level1, level2 = M2, M6
 	}
 	// The buffer device that drives the output edge: mux output low
 	// drives through the PMOS (pull-up of the inverted signal), high
 	// through the NMOS.
-	buf := l.trs[BufN]
+	buf := BufN
 	if l.muxOut(in0, in1) == false {
-		buf = l.trs[BufP]
+		buf = BufP
 	}
-	return []*device.Transistor{level1, level2, buf, l.trs[Route]}
+	return [4]int{level1, level2, buf, Route}
 }
 
 // PathDelay returns the POI propagation delay in nanoseconds for the
-// given inputs at supply vdd.
+// given inputs at supply vdd: device.PathDelay over ConductingPath,
+// summed in path order without building the path.
 func (l *LUT2) PathDelay(vdd units.Volt, in0, in1 bool) (float64, error) {
-	return device.PathDelay(vdd, l.ConductingPath(in0, in1))
+	total := 0.0
+	for _, j := range l.path(in0, in1) {
+		d, err := l.tr(j).Delay(vdd)
+		if err != nil {
+			return 0, err
+		}
+		total += d
+	}
+	return total, nil
 }
 
 // Phase is an input pattern held for a fraction of the operating time,
@@ -290,15 +356,11 @@ func (l *LUT2) MeasuredDelay(vdd units.Volt, phases []Phase) (float64, error) {
 // in nanoamps.
 func (l *LUT2) Leakage() float64 {
 	sum := 0.0
-	for _, tr := range l.trs {
-		sum += tr.Leakage()
+	for j := 0; j < NumTransistors; j++ {
+		sum += l.tr(j).Leakage()
 	}
 	return sum
 }
 
 // Reset restores every device to the fresh state.
-func (l *LUT2) Reset() {
-	for _, tr := range l.trs {
-		tr.Reset()
-	}
-}
+func (l *LUT2) Reset() { l.g.fab.ResetRange(l.base, l.base+NumTransistors) }

@@ -236,10 +236,10 @@ func TestHypothesis2RecoveryOnlyAffectsStressed(t *testing.T) {
 	for i, tr := range l.Transistors() {
 		if duties[i] == 0 && tr.VthShift() != 0 {
 			t.Errorf("fresh transistor %s acquired shift %v during recovery",
-				tr.Name, tr.VthShift())
+				tr.Name(), tr.VthShift())
 		}
 		if duties[i] > 0 && tr.VthShift() <= 0 {
-			t.Errorf("stressed transistor %s lost its entire shift", tr.Name)
+			t.Errorf("stressed transistor %s lost its entire shift", tr.Name())
 		}
 	}
 }
@@ -298,7 +298,7 @@ func TestLeakageAndReset(t *testing.T) {
 	}
 	for _, tr := range l.Transistors() {
 		if tr.VthShift() != 0 {
-			t.Errorf("%s not reset", tr.Name)
+			t.Errorf("%s not reset", tr.Name())
 		}
 	}
 }
@@ -366,7 +366,7 @@ func btoi(b bool) int {
 
 func TestTransistorNaming(t *testing.T) {
 	l := New("X3Y7", device.DefaultParams())
-	if got := l.Transistors()[Route].Name; got != "X3Y7.Route" {
+	if got := l.Transistors()[Route].Name(); got != "X3Y7.Route" {
 		t.Errorf("Route name = %q", got)
 	}
 	if l.Name() != "X3Y7" {

@@ -29,18 +29,19 @@ import (
 	"selfheal/internal/units"
 )
 
-// LUT is a k-input pass-transistor look-up table.
+// LUT is a k-input pass-transistor look-up table. Its devices live in
+// a device.Fabric of its own: the tree level by level, then the buffer
+// pair and the routing switch, the order Transistors returns.
 type LUT struct {
 	name string
 	k    int
 	cfg  []bool // truth table, len 2^k, index = Σ in_j·2^j
-	// tree[j] holds level-j transistors: 2^(k-j) of them, two per
-	// level-j+1 node: tree[j][2*n] gated by in_j (selects the high
-	// child), tree[j][2*n+1] gated by !in_j (low child).
-	tree  [][]*device.Transistor
-	bufP  *device.Transistor
-	bufN  *device.Transistor
-	route *device.Transistor
+	fab  *device.Fabric
+	// off[j] is the fabric index of level j's first device. Level j
+	// holds 2^(k-j) devices, two per level-j+1 node: off[j]+2n gated
+	// by in_j (selects the high child), off[j]+2n+1 by !in_j (low
+	// child).
+	off []int
 }
 
 // MaxK bounds the supported LUT size; commercial fabrics top out at 6.
@@ -55,20 +56,37 @@ func New(name string, k int, dp device.Params) (*LUT, error) {
 		name: name,
 		k:    k,
 		cfg:  make([]bool, 1<<k),
-		tree: make([][]*device.Transistor, k),
+		off:  make([]int, k+1),
 	}
 	for j := 0; j < k; j++ {
-		n := 1 << (k - j)
-		l.tree[j] = make([]*device.Transistor, n)
-		for i := range l.tree[j] {
-			l.tree[j][i] = device.New(fmt.Sprintf("%s.L%dT%d", name, j, i), device.NMOS, dp)
-		}
+		l.off[j+1] = l.off[j] + 1<<(k-j)
 	}
-	l.bufP = device.New(name+".BufP", device.PMOS, dp)
-	l.bufN = device.New(name+".BufN", device.NMOS, dp)
-	l.route = device.New(name+".Route", device.NMOS, dp)
+	kinds := make([]device.Kind, l.TransistorCount())
+	kinds[l.bufP()] = device.PMOS
+	l.fab = device.NewFabric(dp, kinds, l.deviceName)
 	return l, nil
 }
+
+// deviceName formats the name of the device at fabric index i.
+func (l *LUT) deviceName(i int) string {
+	switch i {
+	case l.bufP():
+		return l.name + ".BufP"
+	case l.bufP() + 1:
+		return l.name + ".BufN"
+	case l.bufP() + 2:
+		return l.name + ".Route"
+	}
+	j := 0
+	for i >= l.off[j+1] {
+		j++
+	}
+	return fmt.Sprintf("%s.L%dT%d", l.name, j, i-l.off[j])
+}
+
+// bufP returns the buffer PMOS's fabric index; BufN and the routing
+// switch follow it.
+func (l *LUT) bufP() int { return l.off[l.k] }
 
 // K returns the input count.
 func (l *LUT) K() int { return l.k }
@@ -157,23 +175,32 @@ func (l *LUT) nodeValues(in []bool) [][]bool {
 
 // Stressed returns the transistors under BTI stress for a static input
 // vector.
-func (l *LUT) Stressed(in []bool) ([]*device.Transistor, error) {
+func (l *LUT) Stressed(in []bool) ([]device.Transistor, error) {
+	idx, err := l.stressed(in)
+	if err != nil {
+		return nil, err
+	}
+	return l.views(idx), nil
+}
+
+// stressed returns the fabric indices of the devices Stressed returns.
+func (l *LUT) stressed(in []bool) ([]int, error) {
 	if len(in) != l.k {
 		return nil, fmt.Errorf("lutk: %d inputs, want %d", len(in), l.k)
 	}
 	vals := l.nodeValues(in)
-	var out []*device.Transistor
+	var out []int
 	for j := 0; j < l.k; j++ {
 		for node := 0; node < 1<<(l.k-j-1); node++ {
 			// The conducting transistor of this node pair passes the
 			// selected child; stressed iff that value is low.
-			var tr *device.Transistor
+			var tr int
 			var passed bool
 			if in[j] {
-				tr = l.tree[j][2*node] // gated by in_j
+				tr = l.off[j] + 2*node // gated by in_j
 				passed = vals[j][2*node+1]
 			} else {
-				tr = l.tree[j][2*node+1] // gated by !in_j
+				tr = l.off[j] + 2*node + 1 // gated by !in_j
 				passed = vals[j][2*node]
 			}
 			if !passed {
@@ -183,12 +210,12 @@ func (l *LUT) Stressed(in []bool) ([]*device.Transistor, error) {
 	}
 	mo := vals[l.k][0]
 	if !mo {
-		out = append(out, l.bufP)
+		out = append(out, l.bufP())
 	} else {
-		out = append(out, l.bufN)
+		out = append(out, l.bufP()+1)
 	}
 	if q := !mo; !q {
-		out = append(out, l.route)
+		out = append(out, l.bufP()+2)
 	}
 	return out, nil
 }
@@ -196,28 +223,28 @@ func (l *LUT) Stressed(in []bool) ([]*device.Transistor, error) {
 // ConductingPath returns the path of interest: the k selected tree
 // transistors from leaf to root, the driving buffer device and the
 // routing switch — depth k + 2.
-func (l *LUT) ConductingPath(in []bool) ([]*device.Transistor, error) {
+func (l *LUT) ConductingPath(in []bool) ([]device.Transistor, error) {
 	if len(in) != l.k {
 		return nil, fmt.Errorf("lutk: %d inputs, want %d", len(in), l.k)
 	}
 	vals := l.nodeValues(in)
-	path := make([]*device.Transistor, 0, l.k+2)
+	path := make([]int, 0, l.k+2)
 	node := l.index(in) // leaf index
 	for j := 0; j < l.k; j++ {
 		parent := node >> 1
 		if in[j] {
-			path = append(path, l.tree[j][2*parent])
+			path = append(path, l.off[j]+2*parent)
 		} else {
-			path = append(path, l.tree[j][2*parent+1])
+			path = append(path, l.off[j]+2*parent+1)
 		}
 		node = parent
 	}
-	buf := l.bufN
+	buf := l.bufP() + 1
 	if !vals[l.k][0] {
-		buf = l.bufP
+		buf = l.bufP()
 	}
-	path = append(path, buf, l.route)
-	return path, nil
+	path = append(path, buf, l.bufP()+2)
+	return l.views(path), nil
 }
 
 // PathDelay returns the POI propagation delay in nanoseconds.
@@ -229,21 +256,27 @@ func (l *LUT) PathDelay(vdd units.Volt, in []bool) (float64, error) {
 	return device.PathDelay(vdd, path)
 }
 
-// Transistors returns every device in the cell.
-func (l *LUT) Transistors() []*device.Transistor {
-	var out []*device.Transistor
-	for _, level := range l.tree {
-		out = append(out, level...)
+// Transistors returns views of every device in the cell: the tree
+// level by level, then BufP, BufN and the routing switch.
+func (l *LUT) Transistors() []device.Transistor {
+	out := make([]device.Transistor, l.fab.Len())
+	for i := range out {
+		out[i] = l.fab.At(i)
 	}
-	return append(out, l.bufP, l.bufN, l.route)
+	return out
+}
+
+// views returns views of the devices at the given fabric indices.
+func (l *LUT) views(idx []int) []device.Transistor {
+	out := make([]device.Transistor, len(idx))
+	for i, j := range idx {
+		out[i] = l.fab.At(j)
+	}
+	return out
 }
 
 // Reset restores every device to the fresh state.
-func (l *LUT) Reset() {
-	for _, tr := range l.Transistors() {
-		tr.Reset()
-	}
-}
+func (l *LUT) Reset() { l.fab.Reset() }
 
 // Phase is a weighted static input pattern, mirroring lut.Phase for
 // arbitrary k.
@@ -291,19 +324,14 @@ func (l *LUT) StressDuties(phases []Phase) ([]float64, error) {
 	if sum < 0.999 || sum > 1.001 {
 		return nil, fmt.Errorf("lutk: phase weights sum to %v, want 1", sum)
 	}
-	all := l.Transistors()
-	pos := make(map[*device.Transistor]int, len(all))
-	for i, tr := range all {
-		pos[tr] = i
-	}
-	duties := make([]float64, len(all))
+	duties := make([]float64, l.fab.Len())
 	for _, ph := range phases {
-		stressed, err := l.Stressed(ph.In)
+		stressed, err := l.stressed(ph.In)
 		if err != nil {
 			return nil, err
 		}
-		for _, tr := range stressed {
-			duties[pos[tr]] += ph.Weight
+		for _, i := range stressed {
+			duties[i] += ph.Weight
 		}
 	}
 	for i := range duties {

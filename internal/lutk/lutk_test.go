@@ -225,8 +225,9 @@ func TestExactlyOneBufferStressed(t *testing.T) {
 				t.Fatal(err)
 			}
 			bufs := 0
+			bufP, bufN := l.fab.At(l.bufP()), l.fab.At(l.bufP()+1)
 			for _, tr := range stressed {
-				if tr == l.bufP || tr == l.bufN {
+				if tr == bufP || tr == bufN {
 					bufs++
 				}
 			}
@@ -358,7 +359,7 @@ func TestReset(t *testing.T) {
 	l.Reset()
 	for _, tr := range l.Transistors() {
 		if tr.VthShift() != 0 {
-			t.Fatalf("%s not reset", tr.Name)
+			t.Fatalf("%s not reset", tr.Name())
 		}
 	}
 }

@@ -79,7 +79,7 @@ func TestReferenceStaysFreshUnderStress(t *testing.T) {
 	for _, cell := range s.Reference().Mapping().Cells {
 		for _, tr := range cell.Transistors() {
 			if tr.VthShift() != 0 {
-				t.Fatalf("reference transistor %s aged: %v", tr.Name, tr.VthShift())
+				t.Fatalf("reference transistor %s aged: %v", tr.Name(), tr.VthShift())
 			}
 		}
 	}

@@ -151,6 +151,12 @@ func (o *Oscillator) Count(vdd units.Volt) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	return o.count(f)
+}
+
+// count is Count at true frequency f: the gated count plus one draw
+// of read-out noise.
+func (o *Oscillator) count(f units.Hertz) (int, error) {
 	ideal := float64(f) / (2 * float64(o.params.FRef)) // Eq. 14 solved for Cout
 	if int(ideal) > o.maxCount() {
 		return 0, fmt.Errorf("ro: count %.0f overflows %d-bit counter", ideal, o.params.CounterBits)
@@ -192,9 +198,15 @@ func (o *Oscillator) MeasureAveraged(vdd units.Volt, n int) (Measurement, error)
 	if n <= 0 {
 		return Measurement{}, errors.New("ro: averaging needs n >= 1")
 	}
+	// Nothing ages between the reads: evaluate the chain once and draw
+	// each read's noise around it.
+	f, err := o.TrueFrequency(vdd)
+	if err != nil {
+		return Measurement{}, err
+	}
 	sum := 0
 	for i := 0; i < n; i++ {
-		c, err := o.Count(vdd)
+		c, err := o.count(f)
 		if err != nil {
 			return Measurement{}, err
 		}

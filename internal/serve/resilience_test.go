@@ -421,3 +421,88 @@ func TestRunForceCancelsAfterGrace(t *testing.T) {
 		t.Fatalf("forced shutdown took %v, want ≈ grace (100ms)", elapsed)
 	}
 }
+
+// acceptSignal wraps a listener and reports each accepted connection,
+// so a test can wait until the server holds one.
+type acceptSignal struct {
+	net.Listener
+	accepted chan struct{}
+}
+
+func (l acceptSignal) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted <- struct{}{}
+	}
+	return c, err
+}
+
+// lockedLog is a log sink safe for the server's goroutines.
+type lockedLog struct {
+	mu  sync.Mutex
+	buf strings.Builder
+}
+
+func (l *lockedLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.Write(p)
+}
+
+func (l *lockedLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.String()
+}
+
+// TestRunClosesUnusedConnectionOnShutdown: a client holding a dialled
+// connection that never sends a request must not hold a shutdown for
+// its grace period. http.Server counts such a connection busy until it
+// is 5 s old, which used to run a 2 s grace out and take the
+// grace-expired path that cancels in-flight work.
+func TestRunClosesUnusedConnectionOnShutdown(t *testing.T) {
+	var logs lockedLog
+	s, err := serve.New(serve.Config{
+		ShutdownGrace: 2 * time.Second,
+		Logger:        slog.New(slog.NewTextHandler(&logs, nil)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := acceptSignal{Listener: inner, accepted: make(chan struct{}, 1)}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- s.RunListener(ctx, ln) }()
+
+	conn, err := net.Dial("tcp", inner.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	<-ln.accepted
+	start := time.Now()
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("RunListener returned %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("RunListener did not return")
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("shutdown took %v with one unused connection, want well under the 2s grace", elapsed)
+	}
+	if strings.Contains(logs.String(), "grace period expired") {
+		t.Errorf("shutdown took the grace-expired path:\n%s", logs.String())
+	}
+	conn.SetReadDeadline(time.Now().Add(time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Errorf("unused connection after shutdown: read error %v, want EOF", err)
+	}
+}

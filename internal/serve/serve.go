@@ -568,11 +568,14 @@ func (s *Server) Run(ctx context.Context) error {
 func (s *Server) RunListener(ctx context.Context, ln net.Listener) error {
 	base, cancelBase := context.WithCancel(context.Background())
 	defer cancelBase()
+	var fresh freshConns
 	srv := &http.Server{
 		Handler:           s.handler,
 		BaseContext:       func(net.Listener) context.Context { return base },
 		ReadHeaderTimeout: 10 * time.Second,
+		ConnState:         fresh.track,
 	}
+	srv.RegisterOnShutdown(fresh.closeAll)
 	defer s.Close()
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
@@ -596,4 +599,46 @@ func (s *Server) RunListener(ctx context.Context, ln net.Listener) error {
 	<-errc // drain http.ErrServerClosed from the serve goroutine
 	s.log.Info("shutdown complete")
 	return nil
+}
+
+// freshConns tracks the server's connections that have not yet read a
+// request. http.Server.Shutdown closes idle keep-alive connections
+// but counts one still in StateNew as busy until it is 5 s old, so a
+// client holding a dialled-but-unused connection would otherwise run
+// any shorter grace period out and cancel in-flight work. Once
+// Shutdown has closed the listeners, closeAll closes them like idle
+// ones, and any connection that reaches StateNew later.
+type freshConns struct {
+	mu     sync.Mutex
+	conns  map[net.Conn]struct{}
+	closed bool
+}
+
+// track is the server's ConnState hook.
+func (f *freshConns) track(c net.Conn, st http.ConnState) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	switch {
+	case st != http.StateNew:
+		delete(f.conns, c)
+	case f.closed:
+		c.Close()
+	default:
+		if f.conns == nil {
+			f.conns = make(map[net.Conn]struct{})
+		}
+		f.conns[c] = struct{}{}
+	}
+}
+
+// closeAll closes every connection still in StateNew; Shutdown calls
+// it after closing the listeners.
+func (f *freshConns) closeAll() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.closed = true
+	for c := range f.conns {
+		c.Close()
+	}
+	clear(f.conns)
 }

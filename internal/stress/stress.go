@@ -1,7 +1,9 @@
 // Package stress is the aging engine: it advances every transistor on
 // an FPGA chip through scheduled stress (wearout) and sleep (recovery)
 // phases, applying the TD device model with the per-transistor duty
-// cycles derived from each mapped design's switching activity.
+// cycles derived from each mapped design's switching activity. The
+// chip's device.Fabric applies the model once per duty-history class:
+// transistors that share a class and an action share the result.
 //
 // The engine implements the paper's operating regimes:
 //
@@ -24,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 
-	"selfheal/internal/device"
 	"selfheal/internal/fpga"
 	"selfheal/internal/lut"
 	"selfheal/internal/units"
@@ -63,11 +64,52 @@ type Engine struct {
 	// New; the paper's CUT-relative metrics are insensitive to it, but
 	// chip-level leakage and mean-shift metrics are not.
 	StressIdleCells bool
-	// protected cells sit on a separately gated power island: they see
-	// no stress while the chip operates (only passive recovery), the
-	// way a silicon-odometer reference oscillator is preserved.
-	protected map[*lut.LUT2]bool
-	elapsed   units.Seconds
+	// protected[c] marks cell c (row-major) as sitting on a separately
+	// gated power island: it sees no stress while the chip operates
+	// (only passive recovery), the way a silicon-odometer reference
+	// oscillator is preserved. Nil until the first Protect.
+	protected []bool
+	// pass is Step's scratch: pass[c] is the number of the pass within
+	// the current step that last drove cell c, 0 if none has.
+	pass    []int32
+	duties  dutyMemo
+	elapsed units.Seconds
+}
+
+// dutyMemo is Step's memo of per-cell stress duties. Cells with the
+// same truth table under the same phase list — every stage of a chain,
+// every idle cell — share one evaluation. Phase lists are told apart
+// by identity, which holds for the length of one step.
+type dutyMemo struct {
+	n    int // evaluations stored, the newest in slot (n−1) mod len
+	keys [4]dutyKey
+	vals [4][lut.NumTransistors]float64
+}
+
+type dutyKey struct {
+	cfg    [4]bool
+	phases *lut.Phase
+	len    int
+}
+
+// get returns cell.StressDuties(phases), from the memo when it can.
+func (m *dutyMemo) get(cell *lut.LUT2, phases []lut.Phase) ([lut.NumTransistors]float64, error) {
+	if len(phases) == 0 {
+		return cell.StressDuties(phases)
+	}
+	k := dutyKey{cfg: cell.Config(), phases: &phases[0], len: len(phases)}
+	for i := 0; i < m.n && i < len(m.keys); i++ {
+		if m.keys[i] == k {
+			return m.vals[i], nil
+		}
+	}
+	d, err := cell.StressDuties(phases)
+	if err == nil {
+		slot := m.n % len(m.keys)
+		m.keys[slot], m.vals[slot] = k, d
+		m.n++
+	}
+	return d, err
 }
 
 // New returns an engine for the chip.
@@ -94,13 +136,22 @@ func (e *Engine) Protect(m *fpga.Mapping) error {
 			m.Name, m.Chip.ID(), e.chip.ID())
 	}
 	if e.protected == nil {
-		e.protected = make(map[*lut.LUT2]bool)
+		e.protected = make([]bool, e.chip.Fabric().Len()/lut.NumTransistors)
 	}
 	for _, cell := range m.Cells {
-		e.protected[cell] = true
+		e.protected[cellIndex(cell)] = true
 	}
 	return nil
 }
+
+// cellIndex returns the row-major index of a cell of the engine's chip.
+func cellIndex(cell *lut.LUT2) int {
+	_, base := cell.Fabric()
+	return base / lut.NumTransistors
+}
+
+// isProtected reports whether cell c sits on a protected island.
+func (e *Engine) isProtected(c int) bool { return e.protected != nil && e.protected[c] }
 
 // AddActivity registers a design's switching behaviour. The mapping
 // must live on the engine's chip.
@@ -138,8 +189,16 @@ func (e *Engine) SetAC(name string, ac, frozenIn0 bool) error {
 // accelerated) recovery.
 const operatingThreshold units.Volt = 0.5
 
+// idlePhases is the quiescent pattern of an unmapped cell.
+var idlePhases = lut.DCPhase(false, false)
+
 // Step advances the chip by dt with the rail at vdd and the die at
 // temp. Negative dt panics; dt of zero is a no-op.
+//
+// The chip's fabric ages by duty-history class (device.Fabric): Step
+// works out each transistor's action — stress at its duty, passive
+// recovery while it carries a shift, sleep recovery, or nothing — and
+// the fabric integrates each distinct (class, action) pair once.
 func (e *Engine) Step(vdd units.Volt, temp units.Celsius, dt units.Seconds) error {
 	if dt < 0 {
 		panic(fmt.Sprintf("stress: negative step %v", dt))
@@ -150,6 +209,7 @@ func (e *Engine) Step(vdd units.Volt, temp units.Celsius, dt units.Seconds) erro
 	defer func() { e.elapsed += dt }()
 	k := temp.Kelvin()
 	tdp := e.chip.Params().TD
+	fab := e.chip.Fabric()
 
 	if vdd <= operatingThreshold {
 		// Sleep: the whole die recovers; a negative rail accelerates
@@ -159,75 +219,82 @@ func (e *Engine) Step(vdd units.Volt, temp units.Celsius, dt units.Seconds) erro
 		if vdd < 0 {
 			vrev = -vdd
 		}
-		e.chip.Transistors(func(tr *device.Transistor) {
-			tr.Recover(tdp, vrev, k, dt)
-		})
+		fab.Sleep(tdp, vrev, k, dt)
 		return nil
 	}
 
-	// Active operation: compute each cell's per-transistor stress duty.
-	// Cells not covered by any registered activity are idle; their
-	// quiescent pattern (inputs low) stresses a fixed subset when
-	// StressIdleCells is set.
-	type plan struct {
-		cell   *lut.LUT2
-		duties [lut.NumTransistors]float64
-	}
-	covered := make(map[*lut.LUT2]bool)
-	var plans []plan
-
+	// Active operation. Check every design's phases first, so a bad
+	// one fails the step before any transistor ages.
 	for _, a := range e.activities {
 		for i, cell := range a.Mapping.Cells {
-			if e.protected[cell] {
+			if e.isProtected(cellIndex(cell)) {
 				continue
 			}
-			duties, err := cell.StressDuties(a.phasesFor(i))
+			if err := lut.ValidatePhases(a.phasesFor(i)); err != nil {
+				return fmt.Errorf("stress: design %q stage %d: %w", a.Mapping.Name, i, err)
+			}
+		}
+	}
+	if e.pass == nil {
+		e.pass = make([]int32, fab.Len()/lut.NumTransistors)
+	} else {
+		clear(e.pass)
+	}
+	e.duties = dutyMemo{}
+	pass := int32(1)
+	fab.BeginStep(tdp, vdd, k, dt)
+	defer fab.EndStep()
+	// Protected islands recover passively at die temperature whenever
+	// they carry damage, regardless of what the rest of the die does.
+	var none [lut.NumTransistors]float64
+	for c, p := range e.protected {
+		if p {
+			fab.Act(c*lut.NumTransistors, none[:])
+		}
+	}
+	// Each mapped cell ages at its design's per-transistor stress
+	// duties; a transistor not stressed recovers passively while it
+	// carries damage.
+	for _, a := range e.activities {
+		for i, cell := range a.Mapping.Cells {
+			c := cellIndex(cell)
+			if e.isProtected(c) {
+				continue
+			}
+			duties, err := e.duties.get(cell, a.phasesFor(i))
 			if err != nil {
 				return fmt.Errorf("stress: design %q stage %d: %w", a.Mapping.Name, i, err)
 			}
-			plans = append(plans, plan{cell: cell, duties: duties})
-			covered[cell] = true
+			if e.pass[c] == pass {
+				// A cell registered under two designs ages under each
+				// in turn: finish this pass before driving it again.
+				fab.EndStep()
+				fab.BeginStep(tdp, vdd, k, dt)
+				pass++
+			}
+			_, base := cell.Fabric()
+			fab.Act(base, duties[:])
+			e.pass[c] = pass
 		}
 	}
-	if e.StressIdleCells {
-		idlePhases := lut.DCPhase(false, false)
-		var walkErr error
-		e.chip.Cells(func(_, _ int, cell *lut.LUT2, _ bool) {
-			if covered[cell] || e.protected[cell] || walkErr != nil {
-				return
-			}
-			duties, err := cell.StressDuties(idlePhases)
-			if err != nil {
-				walkErr = err
-				return
-			}
-			plans = append(plans, plan{cell: cell, duties: duties})
-		})
-		if walkErr != nil {
-			return fmt.Errorf("stress: idle cells: %w", walkErr)
-		}
+	// Cells no activity covers are idle; their quiescent pattern
+	// (inputs low) stresses a fixed subset when StressIdleCells is set.
+	if !e.StressIdleCells {
+		return nil
 	}
-	// Protected islands recover passively at die temperature whenever
-	// they carry damage, regardless of what the rest of the die does.
-	for cell := range e.protected {
-		for _, tr := range cell.Transistors() {
-			if tr.VthShift() > 0 {
-				tr.Recover(tdp, 0, k, dt)
-			}
+	var err error
+	e.chip.Cells(func(_, _ int, cell *lut.LUT2, _ bool) {
+		c := cellIndex(cell)
+		if e.pass[c] != 0 || e.isProtected(c) || err != nil {
+			return
 		}
-	}
-
-	for _, p := range plans {
-		for i, tr := range p.cell.Transistors() {
-			switch {
-			case p.duties[i] > 0:
-				tr.Stress(tdp, vdd, k, p.duties[i], dt)
-			case tr.VthShift() > 0:
-				// Biased out of its stress region while the chip runs:
-				// passive recovery at operating temperature.
-				tr.Recover(tdp, 0, k, dt)
-			}
+		var duties [lut.NumTransistors]float64
+		if duties, err = e.duties.get(cell, idlePhases); err == nil {
+			fab.Act(c*lut.NumTransistors, duties[:])
 		}
+	})
+	if err != nil {
+		return fmt.Errorf("stress: idle cells: %w", err)
 	}
 	return nil
 }

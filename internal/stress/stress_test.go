@@ -200,7 +200,7 @@ func TestIdleCellsSkippedWhenDisabled(t *testing.T) {
 	}
 	for _, tr := range idle.Transistors() {
 		if tr.VthShift() != 0 {
-			t.Fatalf("idle transistor %s aged with StressIdleCells off", tr.Name)
+			t.Fatalf("idle transistor %s aged with StressIdleCells off", tr.Name())
 		}
 	}
 }
@@ -262,7 +262,7 @@ func TestProtectedCellsSkipStressButRecover(t *testing.T) {
 	for _, cell := range protected.Cells {
 		for _, tr := range cell.Transistors() {
 			if tr.VthShift() != 0 {
-				t.Fatalf("protected transistor %s aged", tr.Name)
+				t.Fatalf("protected transistor %s aged", tr.Name())
 			}
 		}
 	}
@@ -519,5 +519,39 @@ func BenchmarkStep20min(b *testing.B) {
 		if err := eng.Step(1.2, 110, 20*units.Minute); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestStepAllocatesNothing holds a steady-state Step to zero heap
+// allocations across powered AC and DC steps, a protected island,
+// idle-cell aging and sleep: its plan lives in reused scratch.
+func TestStepAllocatesNothing(t *testing.T) {
+	chip, osc, eng := rig(t, 31)
+	ref, err := chip.MapInverterChain("ref", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Protect(ref); err != nil {
+		t.Fatal(err)
+	}
+	cycle := func() {
+		for _, ac := range []bool{true, false} {
+			if err := eng.SetAC(osc.Mapping().Name, ac, true); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Step(1.2, 110, units.Hour); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := eng.Step(-0.3, 110, units.Hour); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(20, cycle); n != 0 {
+		t.Errorf("steady-state Step allocates %v times per cycle, want 0", n)
+	}
+	if n := chip.Fabric().Classes(); n > 16 {
+		t.Errorf("chip holds %d aging classes, want a handful", n)
 	}
 }

@@ -392,3 +392,16 @@ func (s *State) Clone() *State {
 	c := *s
 	return &c
 }
+
+// Identical reports whether s and o hold the same bits in every field,
+// so that any sequence of steps takes them to identical states. Unlike
+// ==, it tells 0 from −0 and matches a NaN field with the same NaN.
+func (s *State) Identical(o *State) bool {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	return same(s.perm, o.perm) && same(s.rec, o.rec) &&
+		same(float64(s.stressAge), float64(o.stressAge)) &&
+		same(float64(s.effAge), float64(o.effAge)) &&
+		s.phase == o.phase && same(s.rec0, o.rec0) &&
+		same(float64(s.t1), float64(o.t1)) && same(float64(s.t2), float64(o.t2)) &&
+		same(float64(s.prevT2), float64(o.prevT2)) && same(s.interlude, o.interlude)
+}

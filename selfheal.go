@@ -132,8 +132,10 @@ type TracePoint struct {
 }
 
 // Chip is a simulated 40 nm LUT-based FPGA carrying the paper's
-// 75-stage ring-oscillator sensor, with every pass transistor's aging
-// state tracked individually.
+// 75-stage ring-oscillator sensor. Every pass transistor keeps its own
+// process variation and the aging state of its duty-history class:
+// transistors stepped alike share one state, bit for bit what tracking
+// each individually gives.
 type Chip struct {
 	bench   *measure.Bench
 	freshNS float64
