@@ -59,8 +59,9 @@ bench: bench-engine
 
 ## bench-engine: refresh BENCH_engine.json from the engine tick and
 ## per-epoch hooks benchmarks (10k/100k/1M chips), the td
-## batch-vs-scalar kernel pair and the fleet-chip rows (fabricate, 1 h
-## DC phase, averaged read, live heap); run as GOMAXPROCS=1 make bench-engine
+## batch-vs-scalar kernel pair, the fleet-chip rows (fabricate, 1 h
+## DC phase, averaged read, live heap) and the fleet replay rows (a
+## 100-chip restart after 1k/10k/100k ops); run as GOMAXPROCS=1 make bench-engine
 bench-engine:
 	$(GO) run ./scripts/bench-engine
 

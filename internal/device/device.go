@@ -228,6 +228,62 @@ func (f *Fabric) own(i int) *td.State {
 	return &f.states[c]
 }
 
+// FabricState is a fabric's aging state: its class table. Class[i] is
+// transistor i's class, States[c] and Size[c] class c's state and
+// member count (0 marks a free slot). Per-transistor parameters are
+// not part of it: they are fabricated, not aged.
+type FabricState struct {
+	Class  []uint32
+	Size   []int32
+	States []td.State
+}
+
+// Check reports whether s is a consistent class table for n
+// transistors: every class index names a class, and every class size
+// counts its members.
+func (s *FabricState) Check(n int) error {
+	if len(s.Class) != n {
+		return fmt.Errorf("device: class table holds %d transistors, fabric has %d", len(s.Class), n)
+	}
+	if len(s.Size) != len(s.States) {
+		return fmt.Errorf("device: %d class sizes for %d classes", len(s.Size), len(s.States))
+	}
+	count := make([]int32, len(s.States))
+	for i, c := range s.Class {
+		if int64(c) >= int64(len(count)) {
+			return fmt.Errorf("device: transistor %d in class %d of %d", i, c, len(count))
+		}
+		count[c]++
+	}
+	for c, n := range count {
+		if s.Size[c] != n {
+			return fmt.Errorf("device: class %d has size %d but %d members", c, s.Size[c], n)
+		}
+	}
+	return nil
+}
+
+// SaveState copies the fabric's class table into dst, reusing dst's
+// slices.
+func (f *Fabric) SaveState(dst *FabricState) {
+	dst.Class = append(dst.Class[:0], f.class...)
+	dst.Size = append(dst.Size[:0], f.size...)
+	dst.States = append(dst.States[:0], f.states...)
+}
+
+// RestoreState sets the fabric's class table to a copy of src, which
+// must pass Check for the fabric's size; the fabric is unchanged when
+// it does not.
+func (f *Fabric) RestoreState(src *FabricState) error {
+	if err := src.Check(f.Len()); err != nil {
+		return err
+	}
+	f.class = append(f.class[:0], src.Class...)
+	f.size = append(f.size[:0], src.Size...)
+	f.states = append(f.states[:0], src.States...)
+	return nil
+}
+
 // Sleep heals every transistor for dt under reverse-bias magnitude
 // vrev at temp: the unpowered die, where every class recovers alike.
 func (f *Fabric) Sleep(p td.Params, vrev units.Volt, temp units.Kelvin, dt units.Seconds) {

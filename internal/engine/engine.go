@@ -49,8 +49,9 @@
 //     record commits, and the writer holds the tick lock from the flush
 //     to the apply, so journal order equals application order.
 //  3. A write applies its durable records with applyRecord, the code
-//     replay runs, and a batch may name a chip only once, because its
-//     records commit concurrently.
+//     replay runs. A batch's records commit in input order as one
+//     group, and a batch may name a chip only once, because every item
+//     is checked before any is applied.
 //
 // Chips registered on behalf of fleet chips commit OpEngineReg records
 // of their own (kind "fleet"); a fleet delete prunes the chip's engine
@@ -90,6 +91,7 @@ import (
 // store turns every commit into a no-op and the engine runs ephemeral.
 type Journal interface {
 	Commit(ctx context.Context, rec store.Record) error
+	CommitBatch(ctx context.Context, recs []store.Record) error
 	Replay() []store.Record
 	Durable() bool
 }

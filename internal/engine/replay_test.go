@@ -55,10 +55,10 @@ func sameFleet(t *testing.T, got, want *Snapshot) {
 	}
 }
 
-// TestBatchRefusesRepeatedChip: a condition or schedule batch commits
-// its records concurrently, so the journal may hold one chip's items in
-// either order; a chip may therefore appear only once per batch, as in
-// a registration batch, and live and replayed state agree.
+// TestBatchRefusesRepeatedChip: every item of a condition or schedule
+// batch is checked against the engine as it stood before the batch, so
+// a chip may appear only once per batch, as in a registration batch,
+// and live and replayed state agree.
 func TestBatchRefusesRepeatedChip(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -108,6 +108,58 @@ func TestBatchRefusesRepeatedChip(t *testing.T) {
 	}
 	live := e.Snapshot()
 	sameFleet(t, reopen(t, e, st, dir, cfg).Snapshot(), live)
+}
+
+// TestBatchCommitsInOrderWhole: a batch's records land in the journal
+// in input order, and a write fault on any of them refuses every item,
+// applying none.
+func TestBatchCommitsInOrderWhole(t *testing.T) {
+	ctx := context.Background()
+	st, _, err := store.Open[any](t.TempDir(), store.JournalOptions{
+		Hook: func(op string, line []byte) ([]byte, error) {
+			if strings.Contains(string(line), `"id":"bad"`) {
+				return nil, fmt.Errorf("injected write fault")
+			}
+			return line, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	e, err := New(st, Config{EpochHours: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	spec := func(id string) Spec { return Spec{ID: id, TempC: 80, Vdd: 1.2, Duty: 1} }
+	res, err := e.RegisterBatch(ctx, []Spec{spec("a"), spec("bad"), spec("c")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range res {
+		if r.Err == nil {
+			t.Fatalf("item %s registered although its batch hit a write fault", r.ID)
+		}
+	}
+	if st := e.Stats(); st.Chips != 0 || st.CommitErrors != 3 {
+		t.Fatalf("after the failed batch: %d chips, %d commit errors; want 0 and 3", st.Chips, st.CommitErrors)
+	}
+	ids := []string{"e9", "e1", "e5", "e0", "e7", "e3"}
+	var specs []Spec
+	for _, id := range ids {
+		specs = append(specs, spec(id))
+	}
+	if _, err := e.RegisterBatch(ctx, specs); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, rec := range st.Replay() {
+		got = append(got, rec.ID)
+	}
+	if strings.Join(got, ",") != strings.Join(ids, ",") {
+		t.Fatalf("journal order %v, want the batch's %v", got, ids)
+	}
 }
 
 // TestConcurrentWritesReplayExact: writers on several goroutines —

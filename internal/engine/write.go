@@ -35,14 +35,16 @@ func (e *Engine) write(apply func(flushErr error) []RegResult) ([]RegResult, err
 // commitBatch is the one validate→commit→apply path of registrations,
 // removals, and condition and schedule changes. check turns item i into
 // its journal record, or refuses it (setting rec.ID either way). An id
-// an earlier item already holds is refused: the records commit
-// concurrently, so replay must not depend on the order the journal took
-// them in. After a failed epoch flush every item is refused retryably,
-// since committing it would misorder replay. The accepted records share
-// the journal's group commit, and each durable one is applied by
+// an earlier item already holds is refused: every item is checked
+// against the engine as it stood before the batch, so a second item on
+// one chip could pass its check and then fail to apply after its
+// record committed, which replay could not reproduce. After a failed
+// epoch flush every item is refused retryably, since committing it
+// would misorder replay. The accepted records commit in input order as
+// one group (store CommitBatch), and, once durable, each is applied by
 // applyRecord — the code replay runs — so an acked write survives a
-// hard stop and replays bit-identically. Items fail independently.
-// Callers hold tickMu.
+// hard stop and replays bit-identically. Refusals are per item; a
+// failed commit fails every accepted item. Callers hold tickMu.
 func (e *Engine) commitBatch(verb string, n int, flushErr error, check func(i int) (store.Record, error)) []RegResult {
 	results := make([]RegResult, n)
 	recs := make([]store.Record, 0, n)
@@ -65,55 +67,23 @@ func (e *Engine) commitBatch(verb string, n int, flushErr error, check func(i in
 		}
 		results[i].Err = err
 	}
-	for k, err := range e.commitMany(recs) {
+	// Engine records commit under context.Background, like the epoch
+	// records: they carry no request's trace id.
+	var err error
+	if len(recs) > 0 {
+		if err = e.j.CommitBatch(context.Background(), recs); err != nil {
+			e.commitErrors.Add(uint64(len(recs)))
+		}
+	}
+	for k, rec := range recs {
 		i := idx[k]
 		if err != nil {
-			e.commitErrors.Add(1)
 			results[i].Err = fmt.Errorf("engine: %s %q could not be committed: %w", verb, results[i].ID, err)
 			continue
 		}
-		results[i].Err = e.applyRecord(recs[k])
+		results[i].Err = e.applyRecord(rec)
 	}
 	return results
-}
-
-// commitMany commits records concurrently so the journal's group
-// commit amortizes the fsyncs of a bulk write. Returns one error slot
-// per record. No-op (all nil) on a non-durable journal. Engine records
-// commit under context.Background, like the epoch records: they carry
-// no request's trace id.
-func (e *Engine) commitMany(recs []store.Record) []error {
-	errs := make([]error, len(recs))
-	if !e.j.Durable() || len(recs) == 0 {
-		return errs
-	}
-	ctx := context.Background()
-	workers := 32
-	if workers > len(recs) {
-		workers = len(recs)
-	}
-	if workers == 1 {
-		errs[0] = e.j.Commit(ctx, recs[0])
-		return errs
-	}
-	idx := make(chan int)
-	done := make(chan struct{})
-	for w := 0; w < workers; w++ {
-		go func() {
-			for i := range idx {
-				errs[i] = e.j.Commit(ctx, recs[i])
-			}
-			done <- struct{}{}
-		}()
-	}
-	for i := range recs {
-		idx <- i
-	}
-	close(idx)
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-	return errs
 }
 
 // has reports whether the engine holds a chip. Callers hold tickMu.

@@ -2,11 +2,13 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
 	"selfheal"
 	"selfheal/internal/obs"
+	"selfheal/internal/store"
 )
 
 // ChipEntry is one registered chip plus its usage accounting. Each
@@ -22,6 +24,7 @@ import (
 type ChipEntry struct {
 	id   string
 	kind string
+	seed uint64
 
 	mu      sync.Mutex // guards the simulated die and the fields below
 	deleted bool       // set by Delete; later ops see 404, not stale state
@@ -34,6 +37,12 @@ type ChipEntry struct {
 	quarantined bool
 	quarReason  string
 
+	tally tally
+}
+
+// tally is the part of a chip's state its die does not hold: usage
+// accounting, the last sensor read-outs and the checkpoint cadence.
+type tally struct {
 	stressSeconds float64
 	healSeconds   float64
 	ops           uint64
@@ -42,6 +51,11 @@ type ChipEntry struct {
 	// exposition (nil until the matching sensor has been read).
 	lastMeasure  *measureReading
 	lastOdometer *odometerReading
+
+	// sinceCheckpoint counts the chip's records after its create or
+	// its last checkpoint (see checkpointEvery). Checkpoints do not
+	// hold it: restoring one starts it at 0.
+	sinceCheckpoint int
 }
 
 type measureReading struct {
@@ -61,7 +75,7 @@ func newChipEntry(spec CreateSpec) (*ChipEntry, error) {
 	if kind == "" {
 		kind = KindBench
 	}
-	entry := &ChipEntry{id: spec.ID, kind: kind}
+	entry := &ChipEntry{id: spec.ID, kind: kind, seed: spec.Seed}
 	switch kind {
 	case KindBench:
 		chip, err := selfheal.NewChip(spec.ID, spec.Seed)
@@ -99,16 +113,16 @@ func (e *ChipEntry) usage() ChipUsage {
 	defer e.mu.Unlock()
 	u := ChipUsage{
 		Kind:          e.kind,
-		StressSeconds: e.stressSeconds,
-		HealSeconds:   e.healSeconds,
-		Ops:           e.ops,
+		StressSeconds: e.tally.stressSeconds,
+		HealSeconds:   e.tally.healSeconds,
+		Ops:           e.tally.ops,
 	}
-	if m := e.lastMeasure; m != nil {
+	if m := e.tally.lastMeasure; m != nil {
 		u.LastDelayNS = m.delayNS
 		pct := m.degradationPct
 		u.LastDegradationPct = &pct
 	}
-	if o := e.lastOdometer; o != nil {
+	if o := e.tally.lastOdometer; o != nil {
 		u.LastBeatHz = o.beatHz
 		ppm := o.degradationPPM
 		u.LastDegradationPPM = &ppm
@@ -128,9 +142,9 @@ func (e *ChipEntry) Quarantined() (bool, string) {
 // order invariant as the aging mutations). It is idempotent: a repeat
 // transition changes nothing and commits nothing, so the journal holds
 // one record per actual state change. A failed commit rolls the flip
-// back, making a retry safe. The first return reports whether the
-// state changed.
-func (e *ChipEntry) setQuarantined(ctx context.Context, v bool, reason string, commit func() error) (bool, error) {
+// back, making a retry safe, unless its record is in the journal
+// (inLog). The first return reports whether the state changed.
+func (e *ChipEntry) setQuarantined(ctx context.Context, v bool, reason string, commit func(store.Record) error) (bool, error) {
 	e.lock(ctx)
 	defer e.mu.Unlock()
 	if e.deleted {
@@ -142,11 +156,16 @@ func (e *ChipEntry) setQuarantined(ctx context.Context, v bool, reason string, c
 	prevReason := e.quarReason
 	e.quarantined = v
 	e.quarReason = reason
+	rec := store.Record{Op: store.OpQuarantine, ID: e.id, Kind: reason}
 	if !v {
 		e.quarReason = ""
+		rec = store.Record{Op: store.OpRelease, ID: e.id}
 	}
 	if commit != nil {
-		if err := commit(); err != nil {
+		if err := commit(rec); err != nil {
+			if inLog(err) {
+				return true, err
+			}
 			e.quarantined = !v
 			e.quarReason = prevReason
 			return false, err
@@ -167,14 +186,19 @@ func (e *ChipEntry) lock(ctx context.Context) {
 // apply runs one chip operation — the shared skeleton of stress,
 // rejuvenate, measure and odometer. It takes the chip lock, refuses a
 // deleted or quarantined chip or a sensor read the chip's kind lacks,
-// simulates, and commits the record before the lock is released, so
-// the persisted order always matches the order the operations were
+// simulates, and commits rec before the lock is released, so the
+// persisted order always matches the order the operations were
 // applied in. Sensor reads are mutations in disguise (sampling ages the
 // die and consumes noise draws), so they commit, and quarantine refuses
-// them, like the phases. On a commit failure the in-memory state has
-// advanced (aging cannot be rolled back) but the operation will not
-// survive a restart.
-func (e *ChipEntry) apply(ctx context.Context, spec OpSpec, res *OpResult, commit func() error) error {
+// them, like the phases.
+//
+// The die holds an op exactly when the journal does: apply saves the
+// chip's state before it simulates and restores it when the
+// simulation or the commit fails — unless the commit failed as
+// store.ErrIndeterminate, whose record is in the journal all the same.
+// A phase that brings the chip to checkpointEvery records since its
+// last checkpoint carries a new one in rec.
+func (e *ChipEntry) apply(ctx context.Context, spec OpSpec, res *OpResult, rec store.Record, commit func(store.Record) error) error {
 	e.lock(ctx)
 	defer e.mu.Unlock()
 	switch {
@@ -189,6 +213,36 @@ func (e *ChipEntry) apply(ctx context.Context, spec OpSpec, res *OpResult, commi
 		return fmt.Errorf(
 			"fleet: chip %q is %q — use /measure for its bench read-out: %w", e.id, e.kind, ErrKindMismatch)
 	}
+	if commit == nil {
+		return e.run(ctx, spec, res)
+	}
+	undo := statePool.Get().(*chipState)
+	defer statePool.Put(undo)
+	e.save(undo)
+	err := e.run(ctx, spec, res)
+	if err == nil && spec.Op != BatchOpMeasure && spec.Op != BatchOpOdometer &&
+		e.tally.sinceCheckpoint >= checkpointEvery {
+		e.tally.sinceCheckpoint = 0
+		rec.Seed, rec.Kind = e.seed, e.kind
+		rec.State, err = e.checkpoint()
+	}
+	if err == nil {
+		err = commit(rec)
+	}
+	if err != nil && !inLog(err) {
+		_ = e.restore(undo) // a state saved from this chip always restores
+	}
+	return err
+}
+
+// inLog reports whether a failed commit left its record in the journal
+// (store.ErrIndeterminate), where replay will apply it: the op must
+// then stay applied, not be rolled back.
+func inLog(err error) bool { return errors.Is(err, store.ErrIndeterminate) }
+
+// run simulates spec under a chip.<op> span and counts it. Callers
+// hold e.mu.
+func (e *ChipEntry) run(ctx context.Context, spec OpSpec, res *OpResult) error {
 	_, sim := obs.StartSpan(ctx, "chip."+spec.Op, obs.String("chip_id", e.id))
 	err := e.simulate(spec, res)
 	sim.SetError(err)
@@ -196,11 +250,56 @@ func (e *ChipEntry) apply(ctx context.Context, spec OpSpec, res *OpResult, commi
 	if err != nil {
 		return err
 	}
-	e.ops++
-	if commit != nil {
-		return commit()
-	}
+	e.tally.ops++
+	e.tally.sinceCheckpoint++
 	return nil
+}
+
+// save copies the chip's state into dst. Callers hold e.mu.
+func (e *ChipEntry) save(dst *chipState) {
+	if e.bench != nil {
+		e.bench.SaveState(&dst.bench)
+	} else {
+		e.mon.SaveState(&dst.mon)
+	}
+	dst.tally = e.tally
+}
+
+// restore sets the chip's state to src; on an error the chip is part
+// restored (see selfheal.Chip.RestoreState). Callers hold e.mu.
+func (e *ChipEntry) restore(src *chipState) error {
+	var err error
+	if e.bench != nil {
+		err = e.bench.RestoreState(&src.bench)
+	} else {
+		err = e.mon.RestoreState(&src.mon)
+	}
+	if err != nil {
+		return err
+	}
+	e.tally = src.tally
+	return nil
+}
+
+// checkpoint encodes the chip's state. Callers hold e.mu.
+func (e *ChipEntry) checkpoint() ([]byte, error) {
+	st := statePool.Get().(*chipState)
+	defer statePool.Put(st)
+	e.save(st)
+	return st.encode(e.kind)
+}
+
+// restoreCheckpoint sets the chip to the state a checkpoint record
+// carries.
+func (e *ChipEntry) restoreCheckpoint(rec store.Record) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	st := statePool.Get().(*chipState)
+	defer statePool.Put(st)
+	if err := st.decode(e.kind, rec.State); err != nil {
+		return err
+	}
+	return e.restore(st)
 }
 
 // simulate runs spec on the die, books its usage and fills the op's
@@ -219,7 +318,7 @@ func (e *ChipEntry) simulate(spec OpSpec, res *OpResult) error {
 		if err != nil {
 			return err
 		}
-		e.stressSeconds += spec.Hours * 3600
+		e.tally.stressSeconds += spec.Hours * 3600
 	case BatchOpRejuvenate:
 		cond := selfheal.SleepCondition{TempC: spec.TempC, Vdd: spec.Vdd}
 		if e.bench != nil {
@@ -230,13 +329,13 @@ func (e *ChipEntry) simulate(spec OpSpec, res *OpResult) error {
 		if err != nil {
 			return err
 		}
-		e.healSeconds += spec.Hours * 3600
+		e.tally.healSeconds += spec.Hours * 3600
 	case BatchOpMeasure:
 		r, err := e.bench.Measure()
 		if err != nil {
 			return err
 		}
-		e.lastMeasure = &measureReading{delayNS: r.DelayNS, degradationPct: r.DegradationPct}
+		e.tally.lastMeasure = &measureReading{delayNS: r.DelayNS, degradationPct: r.DegradationPct}
 		res.Reading = &ReadingResponse{
 			ID:             e.id,
 			Counts:         r.Counts,
@@ -250,7 +349,7 @@ func (e *ChipEntry) simulate(spec OpSpec, res *OpResult) error {
 		if err != nil {
 			return err
 		}
-		e.lastOdometer = &odometerReading{beatHz: r.BeatHz, degradationPPM: r.DegradationPPM}
+		e.tally.lastOdometer = &odometerReading{beatHz: r.BeatHz, degradationPPM: r.DegradationPPM}
 		res.Odometer = &OdometerResponse{ID: e.id, BeatHz: r.BeatHz, DegradationPPM: r.DegradationPPM}
 		return nil
 	}

@@ -16,7 +16,17 @@
 // Durability model: mutating operations commit a store record while
 // the chip's lock is still held, so the persisted order always matches
 // the applied order and replay (NewService) reconstructs the exact
-// aged state, RNG streams included.
+// aged state, RNG streams included. An operation whose commit fails is
+// rolled back: the chip's state is saved before the simulation and
+// restored, so the live die never holds what the journal does not. A
+// commit that fails as store.ErrIndeterminate (a semisync primary's
+// ack timeout) left its record in the journal, so its operation stays
+// applied, as replay will apply it.
+// A chip's phase record that is at least its checkpointEvery-th since
+// its last checkpoint carries a new one — its full state, exact to the
+// bit — and replay restores the newest checkpoint instead of re-running
+// the history behind it, so a restart costs each chip its fabrication
+// plus a short tail.
 package fleet
 
 import "selfheal"

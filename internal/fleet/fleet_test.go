@@ -130,7 +130,7 @@ func TestCreateRollbackVisibleToWaiters(t *testing.T) {
 		close(waiterReady)
 		// Blocks on the chip lock until Create's rollback releases it.
 		waiterErr <- e.apply(context.Background(), OpSpec{Op: BatchOpStress, ID: "c0",
-			PhaseRequest: PhaseRequest{TempC: 100, Vdd: 0.9, Hours: 1}}, &OpResult{}, nil)
+			PhaseRequest: PhaseRequest{TempC: 100, Vdd: 0.9, Hours: 1}}, &OpResult{}, store.Record{}, nil)
 	}()
 
 	_, err = s.Create(context.Background(), CreateSpec{ID: "c0", Seed: 1, Kind: KindBench})

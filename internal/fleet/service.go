@@ -41,7 +41,9 @@ type Service struct {
 // NewService assembles a fleet over st, replaying the store's durable
 // history first: every simulation is deterministic per seed, so
 // re-running the persisted operations lands every chip on its exact
-// pre-shutdown aged state (including the usage accounting).
+// pre-shutdown aged state (including the usage accounting). A
+// checkpoint record is restored, not re-run, so each chip costs its
+// fabrication plus the records after its newest checkpoint.
 func NewService(st Store, opts ...Option) (*Service, error) {
 	s := &Service{st: st, workers: runtime.GOMAXPROCS(0)}
 	for _, opt := range opts {
@@ -70,6 +72,9 @@ func (s *Service) applyRecord(rec store.Record) error {
 		}
 		return nil
 	case store.OpStress, store.OpRejuvenate, store.OpMeasure, store.OpOdometer:
+		if rec.Checkpoint() {
+			return s.restoreCheckpoint(rec)
+		}
 		// Sensor reads age the die and consume noise draws; they re-run
 		// too (discarding the reading) so the RNG stream lines up exactly.
 		return s.apply(context.Background(), OpSpec{Op: string(rec.Op), ID: rec.ID, PhaseRequest: PhaseRequest{
@@ -96,19 +101,35 @@ func (s *Service) applyRecord(rec store.Record) error {
 	}
 }
 
-// commit returns the store-commit callback for one operation, or nil
-// when the store provides no durability — the entry methods then skip
-// the call entirely, matching the replay path. The captured context
-// carries the request's trace into the journal's stage/commit spans;
-// it does not cancel the commit. A failed commit wraps the store's
-// error: for create, delete and quarantine changes the operation was
-// rolled back and can be retried; for phases and sensor reads the
-// in-memory state advanced but will not survive a restart.
-func (s *Service) commit(ctx context.Context, rec store.Record) func() error {
+// restoreCheckpoint replays a checkpoint record as a create: the
+// records before it, the chip's create included, are no longer live.
+// It fabricates the chip from the record's seed and kind and sets it
+// to the record's state instead of re-running the phase.
+func (s *Service) restoreCheckpoint(rec store.Record) error {
+	entry, err := newChipEntry(CreateSpec{ID: rec.ID, Seed: rec.Seed, Kind: rec.Kind})
+	if err != nil {
+		return err
+	}
+	if !s.st.Insert(rec.ID, entry) {
+		return DuplicateError{ID: rec.ID}
+	}
+	return entry.restoreCheckpoint(rec)
+}
+
+// commit returns the store-commit callback for an operation's record,
+// or nil when the store provides no durability — the entry methods
+// then skip the call entirely, matching the replay path. The captured
+// context carries the request's trace into the journal's stage/commit
+// spans; it does not cancel the commit. A failed commit wraps the
+// store's error, and the operation is rolled back so it can be
+// retried — unless the error is store.ErrIndeterminate: the record is
+// then in the journal, and the operation stays applied, as replay
+// will apply it.
+func (s *Service) commit(ctx context.Context) func(store.Record) error {
 	if !s.st.Durable() {
 		return nil
 	}
-	return func() error {
+	return func(rec store.Record) error {
 		if err := s.st.Commit(ctx, rec); err != nil {
 			return fmt.Errorf("fleet: %s could not be committed: %w", rec.Op, err)
 		}
@@ -132,7 +153,7 @@ func (s *Service) lookup(ctx context.Context, id string) (*ChipEntry, bool) {
 // DuplicateError. The new entry's chip lock is held until the commit
 // lands, so no stress/delete on the chip can be persisted ahead of its
 // create record; a failed commit rolls the registration back, making a
-// retried create safe.
+// retried create safe, unless its record is in the journal (inLog).
 func (s *Service) Create(ctx context.Context, spec CreateSpec) (ChipResponse, error) {
 	if spec.Kind == "" {
 		spec.Kind = KindBench
@@ -145,9 +166,7 @@ func (s *Service) Create(ctx context.Context, spec CreateSpec) (ChipResponse, er
 	if err != nil {
 		return ChipResponse{}, err
 	}
-	commit := s.commit(ctx, store.Record{
-		Op: store.OpCreate, ID: spec.ID, Seed: spec.Seed, Kind: spec.Kind,
-	})
+	commit := s.commit(ctx)
 	entry.mu.Lock()
 	defer entry.mu.Unlock()
 	_, ins := obs.StartSpan(ctx, "store.insert",
@@ -158,7 +177,12 @@ func (s *Service) Create(ctx context.Context, spec CreateSpec) (ChipResponse, er
 		return ChipResponse{}, DuplicateError{ID: spec.ID}
 	}
 	if commit != nil {
-		if err := commit(); err != nil {
+		if err := commit(store.Record{
+			Op: store.OpCreate, ID: spec.ID, Seed: spec.Seed, Kind: spec.Kind,
+		}); err != nil {
+			if inLog(err) {
+				return ChipResponse{}, err
+			}
 			// A concurrent request may already hold a reference from Lookup
 			// and be blocked on entry.mu; marking the entry deleted (we
 			// still hold the lock) makes such waiters see the rollback and
@@ -177,12 +201,13 @@ func (s *Service) Create(ctx context.Context, spec CreateSpec) (ChipResponse, er
 // lock (waiting out any in-flight operation, whose persisted record
 // therefore precedes the delete record), commits, and removes it from
 // the store. The first return reports whether the chip existed; a
-// failed commit rolls the mark back so the delete can be retried.
+// failed commit rolls the mark back so the delete can be retried,
+// unless its record is in the journal (inLog).
 func (s *Service) Delete(ctx context.Context, id string) (bool, error) {
-	return s.delete(ctx, id, s.commit(ctx, store.Record{Op: store.OpDelete, ID: id}))
+	return s.delete(ctx, id, s.commit(ctx))
 }
 
-func (s *Service) delete(ctx context.Context, id string, commit func() error) (bool, error) {
+func (s *Service) delete(ctx context.Context, id string, commit func(store.Record) error) (bool, error) {
 	e, ok := s.lookup(ctx, id)
 	if !ok {
 		return false, nil
@@ -193,14 +218,16 @@ func (s *Service) delete(ctx context.Context, id string, commit func() error) (b
 		return false, nil
 	}
 	e.deleted = true
+	var err error
 	if commit != nil {
-		if err := commit(); err != nil {
-			e.deleted = false
-			return true, err
-		}
+		err = commit(store.Record{Op: store.OpDelete, ID: id})
+	}
+	if err != nil && !inLog(err) {
+		e.deleted = false
+		return true, err
 	}
 	s.st.Remove(id)
-	return true, nil
+	return true, err
 }
 
 // Get returns the chip registered under id.
@@ -216,8 +243,7 @@ func (s *Service) Quarantine(ctx context.Context, id, reason string) (bool, erro
 	if !ok {
 		return false, NotFoundError{ID: id}
 	}
-	return entry.setQuarantined(ctx, true, reason,
-		s.commit(ctx, store.Record{Op: store.OpQuarantine, ID: id, Kind: reason}))
+	return entry.setQuarantined(ctx, true, reason, s.commit(ctx))
 }
 
 // Release lifts a chip's quarantine; semantics mirror Quarantine.
@@ -226,8 +252,7 @@ func (s *Service) Release(ctx context.Context, id string) (bool, error) {
 	if !ok {
 		return false, NotFoundError{ID: id}
 	}
-	return entry.setQuarantined(ctx, false, "",
-		s.commit(ctx, store.Record{Op: store.OpRelease, ID: id}))
+	return entry.setQuarantined(ctx, false, "", s.commit(ctx))
 }
 
 // Quarantined reports whether the chip is currently quarantined.
@@ -290,11 +315,11 @@ func (s *Service) applyOp(ctx context.Context, spec OpSpec, commit bool, res *Op
 	if !ok {
 		return NotFoundError{ID: spec.ID}
 	}
-	var commitFn func() error
+	var commitFn func(store.Record) error
 	if commit {
-		commitFn = s.commit(ctx, rec)
+		commitFn = s.commit(ctx)
 	}
-	return entry.apply(ctx, spec, res, commitFn)
+	return entry.apply(ctx, spec, res, rec, commitFn)
 }
 
 // value unpacks the field of an OpResult its op fills: the value, or

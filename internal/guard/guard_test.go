@@ -404,6 +404,17 @@ func (j *outageJournal) Commit(_ context.Context, rec store.Record) error {
 	return nil
 }
 
+// CommitBatch commits recs one by one, refusing the batch at the
+// first record Commit refuses.
+func (j *outageJournal) CommitBatch(ctx context.Context, recs []store.Record) error {
+	for _, rec := range recs {
+		if err := j.Commit(ctx, rec); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func (j *outageJournal) Replay() []store.Record { return nil }
 func (j *outageJournal) Durable() bool          { return true }
 

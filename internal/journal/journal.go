@@ -1,11 +1,20 @@
 // Package journal is the fleet's crash-safe operation log. Aging state
 // is history: a die's threshold shift is the integral of every stress
 // and rejuvenation phase it ever saw, and none of it is recoverable if
-// the process dies. Because every simulation in this repository is
-// deterministic given its parameters, the full chip state never needs
-// to be serialized — it is enough to persist the *operations* (create,
-// stress, rejuvenate, delete, and the sensor reads, which perturb the
-// die) and replay them on startup.
+// the process dies. Every simulation in this repository is
+// deterministic given its parameters, so the log persists the
+// *operations* (create, stress, rejuvenate, delete, and the sensor
+// reads, which perturb the die) and replay re-runs them on startup.
+//
+// Re-running a chip's whole history makes recovery grow with uptime,
+// so the fleet also checkpoints: every so often a chip's stress or
+// rejuvenate record carries the chip's full state after the phase
+// (Record.State, the chip-state codec of the root package). Replay
+// restores a checkpoint instead of re-running what led to it, and once
+// a checkpoint is durable the chip's earlier fleet records stop being
+// live: Records, compaction, a replica's resync and a promotion all
+// see the newest checkpoint plus the records after it. The chip's
+// engine records and the ID-less epoch records are not superseded.
 //
 // The on-disk layout is two files in the data directory:
 //
@@ -24,20 +33,23 @@
 // Appends are group-committed: each record is written under the lock,
 // but concurrent appends share a single fsync — the first appender to
 // reach the sync gate flushes every record staged so far, so tail
-// latency under load is one fsync per batch instead of one per op. An
-// append returns only after its record is provably durable, so an
+// latency under load is one fsync per batch instead of one per op.
+// AppendBatch stages several records in order under one hold of the
+// lock, so they land contiguously and commit together. An append
+// returns only after its record is provably durable, so an
 // acknowledged operation survives a hard stop. A truncated final
 // record (torn write at crash) is tolerated on open: replay stops at
 // the last complete record and the tail is trimmed. Records carry
 // sequence numbers so a crash between writing a snapshot and
 // truncating the log never double-applies an operation.
 //
-// Compaction prunes the history of deleted chips (their records can
-// never matter again) and folds the log into the snapshot. It runs on
-// open and — off the append hot path — in a supervised background
-// goroutine after every CompactEvery durable appends. The data
-// directory itself is fsync'd after the snapshot rename and on log
-// creation, so the rename survives power loss.
+// Compaction drops what can never matter again — the history of
+// deleted chips and records a checkpoint superseded — and folds the
+// log into the snapshot. It runs on open and — off the append hot
+// path — in a supervised background goroutine after every
+// CompactEvery durable appends. The data directory itself is fsync'd
+// after the snapshot rename and on log creation, so the rename
+// survives power loss.
 package journal
 
 import (
@@ -148,6 +160,12 @@ type Record struct {
 	SleepTempC   float64 `json:"sleep_temp_c,omitempty"`
 	SleepVdd     float64 `json:"sleep_vdd,omitempty"`
 
+	// State, on a stress or rejuvenate record, is a checkpoint: the
+	// chip's full state after the phase, in the fleet's checkpoint
+	// encoding, with Seed and Kind naming the die to fabricate under
+	// it. It supersedes every earlier fleet record of the chip.
+	State []byte `json:"state,omitempty"`
+
 	// Trace is the id of the distributed trace that caused this record
 	// (set by Append from the request context). Purely observability:
 	// replay ignores it, but the replication stream and a follower's
@@ -156,6 +174,9 @@ type Record struct {
 	// decode with Trace == "".
 	Trace string `json:"trace,omitempty"`
 }
+
+// Checkpoint reports whether rec carries a chip checkpoint.
+func (rec *Record) Checkpoint() bool { return len(rec.State) > 0 }
 
 // Hook intercepts the encoded bytes of a record on their way to the
 // log file — the fault-injection seam (op is the Record.Op as a plain
@@ -214,6 +235,12 @@ type RepairReport struct {
 	DroppedSeqs    []uint64 // seqs of still-parseable records past the corruption
 }
 
+// chipMark is one fleet chip's checkpoint bookkeeping.
+type chipMark struct {
+	ckpt uint64 // seq of the chip's newest checkpoint; 0 if none
+	live int    // the chip's fleet records in recs no checkpoint supersedes
+}
+
 // pendingAppend is one staged record awaiting its group fsync.
 type pendingAppend struct {
 	rec  Record
@@ -237,9 +264,16 @@ type Journal struct {
 	pending    []*pendingAppend
 	committing bool // a drained batch's fsync is in flight
 
-	recs       []Record // durable live (compacted) history, snapshot source
+	recs       []Record // durable history, snapshot source; see stale
 	lastSeq    uint64   // newest assigned sequence number (staged included)
 	durableSeq uint64   // newest fsync'd sequence number
+
+	// chips marks each fleet chip's newest checkpoint, so absorbing
+	// one supersedes the chip's earlier records in O(1). recs keeps
+	// the superseded records, stale of them, until the next compaction
+	// or Records call drops them.
+	chips map[string]chipMark
+	stale int
 
 	// onCommit, when set, observes every durably committed batch in
 	// commit order (the replication primary's streaming seam).
@@ -285,7 +319,7 @@ func Open(dir string, opts Options) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	j := &Journal{dir: dir, opts: opts}
+	j := &Journal{dir: dir, opts: opts, chips: make(map[string]chipMark)}
 
 	snap, err := j.readOrSalvage(filepath.Join(dir, snapshotName), false)
 	if err != nil {
@@ -353,6 +387,7 @@ func (op Op) isRead() bool { return op == OpMeasure || op == OpOdometer }
 // without that persistence a later mutation would journal on top of
 // records the live state never included.
 func (j *Journal) pruneTrailingReads() {
+	j.dropSuperseded()
 	lastMut := make(map[string]uint64)
 	for _, r := range j.recs {
 		if !r.Op.isRead() {
@@ -363,7 +398,11 @@ func (j *Journal) pruneTrailingReads() {
 	for _, r := range j.recs {
 		if !r.Op.isRead() || r.Seq < lastMut[r.ID] {
 			kept = append(kept, r)
+			continue
 		}
+		m := j.chips[r.ID]
+		m.live--
+		j.chips[r.ID] = m
 	}
 	j.recs = kept
 }
@@ -371,9 +410,10 @@ func (j *Journal) pruneTrailingReads() {
 // absorb applies one record to the in-memory live history: deletes
 // (and engine removals — an engine-native chip's records are all
 // engine records) prune every earlier record for that chip, since
-// their replay could never be observed again; everything else
-// accumulates. Epoch records carry no ID, so chip pruning never
-// touches them.
+// their replay could never be observed again; a checkpoint supersedes
+// the chip's earlier fleet records, which recs keeps until
+// dropSuperseded; everything else accumulates. Epoch records carry no
+// ID, so chip pruning never touches them.
 func (j *Journal) absorb(rec Record) {
 	if rec.Seq > j.lastSeq {
 		j.lastSeq = rec.Seq
@@ -381,14 +421,63 @@ func (j *Journal) absorb(rec Record) {
 	if (rec.Op == OpDelete || rec.Op == OpEngineRemove) && rec.ID != "" {
 		kept := j.recs[:0]
 		for _, r := range j.recs {
-			if r.ID != rec.ID {
+			switch {
+			case r.ID != rec.ID:
 				kept = append(kept, r)
+			case j.superseded(&r):
+				j.stale--
 			}
 		}
+		clear(j.recs[len(kept):])
 		j.recs = kept
+		delete(j.chips, rec.ID)
 		return
 	}
 	j.recs = append(j.recs, rec)
+	if !isFleetChipRecord(&rec) {
+		return
+	}
+	m := j.chips[rec.ID]
+	switch {
+	case rec.Seq < m.ckpt:
+		// A log record re-read under a snapshot that already holds a
+		// newer checkpoint (a crash between the snapshot's rename and
+		// the log's truncation).
+		j.stale++
+		return
+	case rec.Checkpoint():
+		j.stale += m.live
+		m = chipMark{ckpt: rec.Seq}
+	}
+	m.live++
+	j.chips[rec.ID] = m
+}
+
+// isFleetChipRecord reports whether rec is one of a fleet chip's own
+// records, which a checkpoint of the chip can supersede.
+func isFleetChipRecord(rec *Record) bool { return rec.ID != "" && !IsEngineOp(rec.Op) }
+
+// superseded reports whether a checkpoint newer than rec supersedes it.
+func (j *Journal) superseded(rec *Record) bool {
+	return isFleetChipRecord(rec) && rec.Seq < j.chips[rec.ID].ckpt
+}
+
+// dropSuperseded removes the records a checkpoint superseded from
+// recs. It costs one pass over the history, so it runs where one is
+// paid anyway: compaction and Records.
+func (j *Journal) dropSuperseded() {
+	if j.stale == 0 {
+		return
+	}
+	kept := j.recs[:0]
+	for i := range j.recs {
+		if !j.superseded(&j.recs[i]) {
+			kept = append(kept, j.recs[i])
+		}
+	}
+	clear(j.recs[len(kept):])
+	j.recs = kept
+	j.stale = 0
 }
 
 // encodeLine renders one on-disk line: JSON payload, tab, CRC32 of the
@@ -593,11 +682,13 @@ func backupFile(path string) (string, error) {
 	}
 }
 
-// Records returns a copy of the durable live (compacted) history in
-// sequence order — the replay list that reconstructs the fleet.
+// Records returns a copy of the durable live history in sequence
+// order — the replay list that reconstructs the fleet: each chip's
+// newest checkpoint and the records after it.
 func (j *Journal) Records() []Record {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.dropSuperseded()
 	out := make([]Record, len(j.recs))
 	copy(out, j.recs)
 	return out
@@ -614,38 +705,79 @@ func (j *Journal) Records() []Record {
 // serialized line write) and a journal.commit span showing whether
 // this appender led the group commit or rode another leader's fsync.
 func (j *Journal) Append(ctx context.Context, rec Record) error {
-	if rec.Trace == "" {
-		rec.Trace = obs.TraceIDFrom(ctx)
+	return j.AppendBatch(ctx, []Record{rec})
+}
+
+// AppendBatch appends recs as Append does one record: in input order,
+// staged under one hold of the journal lock so no other append lands
+// between them, and acknowledged by one group commit. It is all or
+// nothing: a failed write unwinds every line the batch wrote, and the
+// group commit resolves the batch as a whole.
+func (j *Journal) AppendBatch(ctx context.Context, recs []Record) error {
+	if len(recs) == 0 {
+		return nil
 	}
 	_, sp := obs.StartSpan(ctx, "journal.stage",
-		obs.String("op", string(rec.Op)), obs.String("chip_id", rec.ID))
-	p, err := j.stage(rec)
+		obs.String("op", string(recs[0].Op)), obs.String("chip_id", recs[0].ID), obs.Int("records", len(recs)))
+	p, err := j.stage(recs, obs.TraceIDFrom(ctx), true)
 	sp.SetError(err)
 	sp.End()
-	if err != nil {
+	if err != nil || p == nil {
 		return err
 	}
 	return j.awaitCommit(ctx, p)
 }
 
-// stage serializes the record write: it reserves the sequence number,
-// runs the fault hook, writes the line at the log's tail, and — on a
-// failed or torn write — truncates straight back to the last complete
-// record so the next append starts on a clean boundary.
-func (j *Journal) stage(rec Record) (*pendingAppend, error) {
+// stage writes recs at the log's tail in order under one hold of mu
+// and queues them for the next group commit, returning the last one
+// (nil if none was staged). With assign set it numbers the records and
+// tags those without a trace with trace; otherwise they carry their
+// sequence numbers already, and those not past lastSeq are skipped as
+// duplicates. A failed or torn write truncates back to the tail before
+// the batch, so the batch stages whole or not at all and the next
+// append starts on a clean boundary.
+func (j *Journal) stage(recs []Record, trace string, assign bool) (*pendingAppend, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.failed != nil {
 		return nil, fmt.Errorf("journal: log is failed (%w); refusing append", j.failed)
 	}
-	rec.Seq = j.lastSeq + 1
-	if err := j.writeLineLocked(rec); err != nil {
-		return nil, err
+	start, startSeq := j.size, j.lastSeq
+	staged := make([]*pendingAppend, 0, len(recs))
+	for _, rec := range recs {
+		switch {
+		case assign:
+			rec.Seq = j.lastSeq + 1
+			if rec.Trace == "" {
+				rec.Trace = trace
+			}
+		case rec.Seq == 0:
+			return nil, j.unstage(start, startSeq, errors.New("journal: replica record without sequence number"))
+		case rec.Seq <= j.lastSeq:
+			continue
+		}
+		if err := j.writeLineLocked(rec); err != nil {
+			return nil, j.unstage(start, startSeq, err)
+		}
+		j.lastSeq = rec.Seq
+		staged = append(staged, &pendingAppend{rec: rec, done: make(chan error, 1)})
 	}
-	j.lastSeq = rec.Seq
-	p := &pendingAppend{rec: rec, done: make(chan error, 1)}
-	j.pending = append(j.pending, p)
-	return p, nil
+	if len(staged) == 0 {
+		return nil, nil
+	}
+	j.pending = append(j.pending, staged...)
+	return staged[len(staged)-1], nil
+}
+
+// unstage truncates the log back to start, unwinding a batch's lines;
+// records staged by other appenders sit before start and are
+// untouched. Callers hold mu. It returns err.
+func (j *Journal) unstage(start int64, startSeq uint64, err error) error {
+	if terr := j.f.Truncate(start); terr != nil {
+		j.failed = terr
+	}
+	j.size, j.lastSeq = start, startSeq
+	return err
 }
 
 // writeLineLocked encodes rec (whose Seq is already set), runs the
@@ -690,45 +822,13 @@ func (j *Journal) writeLineLocked(rec Record) error {
 // assigns sequence numbers: replicas must preserve the primary's
 // numbering bit-for-bit so a promoted follower replays identically.
 func (j *Journal) AppendReplica(ctx context.Context, recs []Record) error {
-	j.mu.Lock()
-	if j.failed != nil {
-		j.mu.Unlock()
-		return fmt.Errorf("journal: log is failed (%w); refusing append", j.failed)
-	}
-	start, startSeq := j.size, j.lastSeq
-	var staged []*pendingAppend
-	fail := func(err error) error {
-		// Unwind every line this batch wrote so nothing half-applied is
-		// staged; pending from other appenders sits before start and is
-		// untouched.
-		if terr := j.f.Truncate(start); terr != nil {
-			j.failed = terr
-		}
-		j.size, j.lastSeq = start, startSeq
-		j.mu.Unlock()
-		return err
-	}
-	for _, rec := range recs {
-		if rec.Seq == 0 {
-			return fail(errors.New("journal: replica record without sequence number"))
-		}
-		if rec.Seq <= j.lastSeq {
-			continue
-		}
-		if err := j.writeLineLocked(rec); err != nil {
-			return fail(err)
-		}
-		j.lastSeq = rec.Seq
-		staged = append(staged, &pendingAppend{rec: rec, done: make(chan error, 1)})
-	}
-	j.pending = append(j.pending, staged...)
-	j.mu.Unlock()
-	if len(staged) == 0 {
-		return nil // every record was a duplicate
+	p, err := j.stage(recs, "", false)
+	if err != nil || p == nil {
+		return err // p == nil: every record was a duplicate
 	}
 	// Waiting on the last record covers the whole batch: commitGroup
 	// resolves a batch all-or-nothing.
-	return j.awaitCommit(ctx, staged[len(staged)-1])
+	return j.awaitCommit(ctx, p)
 }
 
 // ResetTo atomically replaces the journal's entire live history with
@@ -749,12 +849,10 @@ func (j *Journal) ResetTo(recs []Record, lastSeq uint64) error {
 	if len(j.pending) > 0 || j.committing {
 		return errors.New("journal: reset: appends in flight")
 	}
-	j.recs = append(j.recs[:0:0], recs...)
+	j.recs, j.chips, j.stale = nil, make(map[string]chipMark), 0
 	j.lastSeq = lastSeq
 	for _, rec := range recs {
-		if rec.Seq > j.lastSeq {
-			j.lastSeq = rec.Seq
-		}
+		j.absorb(rec)
 	}
 	j.durableSeq = j.lastSeq
 	return j.compactLocked()
@@ -967,13 +1065,15 @@ func (j *Journal) Compact() error {
 	return j.compactLocked()
 }
 
-// compactLocked writes the live records to snapshot.json.tmp, fsyncs,
+// compactLocked drops superseded records, writes the live records to
+// snapshot.json.tmp, fsyncs,
 // renames over the snapshot, fsyncs the directory (so the rename
 // itself survives power loss), then truncates the log. A crash at any
 // point is safe: the rename is atomic and replay deduplicates by
 // sequence number. Callers hold mu and have no staged-unsynced
 // records.
 func (j *Journal) compactLocked() error {
+	j.dropSuperseded()
 	tmpPath := filepath.Join(j.dir, snapshotName+".tmp")
 	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -1052,7 +1152,7 @@ func (j *Journal) Stats() Stats {
 	st := Stats{
 		Appends:     j.appends,
 		Compactions: j.compactions,
-		Records:     len(j.recs),
+		Records:     len(j.recs) - j.stale,
 		LastSeq:     j.durableSeq,
 		FsyncCount:  j.fsyncCount,
 		FsyncTotal:  j.fsyncTotal,

@@ -110,6 +110,26 @@ func New(chip *fpga.Chip, eng *stress.Engine, name string, p Params, src *rng.So
 	return s, nil
 }
 
+// State is a sensor's mutable state: its noise stream and its two
+// oscillators'.
+type State struct {
+	Src       uint64 // the differential read-out noise generator's state
+	Stressed  ro.State
+	Reference ro.State
+}
+
+// State returns the sensor's mutable state.
+func (s *Sensor) State() State {
+	return State{Src: s.src.State(), Stressed: s.stressed.State(), Reference: s.reference.State()}
+}
+
+// Restore sets the sensor's mutable state.
+func (s *Sensor) Restore(st State) {
+	s.src.SetState(st.Src)
+	s.stressed.Restore(st.Stressed)
+	s.reference.Restore(st.Reference)
+}
+
 // Stressed returns the exposed oscillator (for engine mode changes).
 func (s *Sensor) Stressed() *ro.Oscillator { return s.stressed }
 

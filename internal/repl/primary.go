@@ -57,8 +57,9 @@ var (
 	ErrNoFollower = errors.New("repl: no follower connected")
 	// ErrAckTimeout fails a semisync mutation after local commit: the
 	// operation is durable on this node but its replication was not
-	// confirmed — the caller must treat it as indeterminate.
-	ErrAckTimeout = errors.New("repl: follower ack timeout")
+	// confirmed — the caller must treat it as indeterminate, so it
+	// wraps store.ErrIndeterminate.
+	ErrAckTimeout = fmt.Errorf("repl: follower ack timeout: %w", store.ErrIndeterminate)
 )
 
 // SendHook intercepts every outbound tail frame — the network
@@ -85,9 +86,11 @@ type PrimaryConfig struct {
 	Logger     *slog.Logger
 }
 
-// snapshotBatch is the record count per snapshot chunk frame; 512
-// records keep each frame far below MaxFrame.
-const snapshotBatch = 512
+// snapshotBatch is the record count per snapshot chunk frame. A live
+// history can be mostly fleet checkpoints, ~3.8 KB each in JSON for a
+// bench die's handful of aging classes, so 128 records keep a frame an
+// order of magnitude below MaxFrame.
+const snapshotBatch = 128
 
 // ackWaiter blocks one semisync append until the follower's cumulative
 // ack reaches seq.
@@ -202,20 +205,25 @@ func (p *Primary) onCommit(batch []store.Record) {
 	}
 }
 
-// Append implements store.Log. In semisync mode it refuses before
-// writing when no follower is connected (degraded, nothing lost) and
-// waits for the follower's durable ack after the local commit.
-func (p *Primary) Append(ctx context.Context, rec store.Record) error {
+// AppendBatch implements store.Log: the batch commits as one group.
+// In semisync mode it refuses before writing when no follower is
+// connected (degraded, nothing lost) and, after the local commit,
+// waits for a follower's durable ack of the batch's last record.
+func (p *Primary) AppendBatch(ctx context.Context, recs []store.Record) error {
+	if len(recs) == 0 {
+		return nil
+	}
 	if p.cfg.Mode == ModeSemiSync && !p.hasFollower() {
 		p.refused.Add(1)
 		return ErrNoFollower
 	}
-	if err := p.inner.Append(ctx, rec); err != nil {
+	if err := p.inner.AppendBatch(ctx, recs); err != nil {
 		return err
 	}
 	if p.cfg.Mode == ModeSemiSync {
-		// lastCommitted is ≥ this record's seq (onCommit ran before the
-		// append returned), so waiting for it is a safe overapproximation.
+		// lastCommitted is ≥ the batch's last seq (onCommit ran before
+		// the append returned), so waiting for it is a safe
+		// overapproximation.
 		start := time.Now()
 		if err := p.waitAcked(p.lastCommitted.Load()); err != nil {
 			return fmt.Errorf("repl: mutation durable locally but replication unconfirmed: %w", err)

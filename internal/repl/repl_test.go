@@ -87,7 +87,7 @@ func TestReplicationSnapshotAndTail(t *testing.T) {
 	ctx := context.Background()
 	// History before the follower exists — arrives via snapshot.
 	for i := 0; i < 20; i++ {
-		if err := p.Append(ctx, crec(fmt.Sprintf("pre-%d", i), uint64(i))); err != nil {
+		if err := p.AppendBatch(ctx, []store.Record{crec(fmt.Sprintf("pre-%d", i), uint64(i))}); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}
@@ -95,7 +95,7 @@ func TestReplicationSnapshotAndTail(t *testing.T) {
 	waitConverged(t, p, f)
 	// Live tail after the snapshot.
 	for i := 0; i < 30; i++ {
-		if err := p.Append(ctx, store.Record{Op: store.OpStress, ID: fmt.Sprintf("pre-%d", i%20), Hours: 1, TempC: 80, Vdd: 1.0}); err != nil {
+		if err := p.AppendBatch(ctx, []store.Record{{Op: store.OpStress, ID: fmt.Sprintf("pre-%d", i%20), Hours: 1, TempC: 80, Vdd: 1.0}}); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}
@@ -112,17 +112,17 @@ func TestFollowerLateJoinAfterCompaction(t *testing.T) {
 	p, addr := startPrimary(t, ModeAsync, nil)
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {
-		if err := p.Append(ctx, crec(fmt.Sprintf("chip-%d", i), uint64(i))); err != nil {
+		if err := p.AppendBatch(ctx, []store.Record{crec(fmt.Sprintf("chip-%d", i), uint64(i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Deletes prune history; compaction folds the rest into the
 	// snapshot. A late joiner must see the *compacted* state, and the
 	// tail must continue from the primary's (higher) seq numbering.
-	if err := p.Append(ctx, store.Record{Op: store.OpDelete, ID: "chip-3"}); err != nil {
+	if err := p.AppendBatch(ctx, []store.Record{{Op: store.OpDelete, ID: "chip-3"}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Append(ctx, store.Record{Op: store.OpDelete, ID: "chip-7"}); err != nil {
+	if err := p.AppendBatch(ctx, []store.Record{{Op: store.OpDelete, ID: "chip-7"}}); err != nil {
 		t.Fatal(err)
 	}
 	f := startFollower(t, t.TempDir(), addr)
@@ -132,7 +132,7 @@ func TestFollowerLateJoinAfterCompaction(t *testing.T) {
 			t.Fatalf("deleted chip leaked into follower: %+v", rec)
 		}
 	}
-	if err := p.Append(ctx, store.Record{Op: store.OpStress, ID: "chip-1", Hours: 2}); err != nil {
+	if err := p.AppendBatch(ctx, []store.Record{{Op: store.OpStress, ID: "chip-1", Hours: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	waitConverged(t, p, f)
@@ -143,7 +143,7 @@ func TestFollowerReconnectConverges(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	for i := 0; i < 5; i++ {
-		if err := p.Append(ctx, crec(fmt.Sprintf("c%d", i), uint64(i))); err != nil {
+		if err := p.AppendBatch(ctx, []store.Record{crec(fmt.Sprintf("c%d", i), uint64(i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -154,11 +154,11 @@ func TestFollowerReconnectConverges(t *testing.T) {
 	// the follower's history, not just extend it).
 	f.Close()
 	for i := 0; i < 5; i++ {
-		if err := p.Append(ctx, store.Record{Op: store.OpStress, ID: "c1", Hours: 1}); err != nil {
+		if err := p.AppendBatch(ctx, []store.Record{{Op: store.OpStress, ID: "c1", Hours: 1}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := p.Append(ctx, store.Record{Op: store.OpDelete, ID: "c2"}); err != nil {
+	if err := p.AppendBatch(ctx, []store.Record{{Op: store.OpDelete, ID: "c2"}}); err != nil {
 		t.Fatal(err)
 	}
 	waitDisconnected(t, p)
@@ -185,7 +185,7 @@ func TestSemiSyncGating(t *testing.T) {
 	p, addr := startPrimary(t, ModeSemiSync, nil)
 	ctx := context.Background()
 	// No follower: refuse before writing anything.
-	if err := p.Append(ctx, crec("x", 1)); !errors.Is(err, ErrNoFollower) {
+	if err := p.AppendBatch(ctx, []store.Record{crec("x", 1)}); !errors.Is(err, ErrNoFollower) {
 		t.Fatalf("append without follower: %v, want ErrNoFollower", err)
 	}
 	if len(p.Records()) != 0 {
@@ -196,6 +196,10 @@ func TestSemiSyncGating(t *testing.T) {
 	}
 	if st := p.ReplStats(); st.Refused == 0 {
 		t.Fatalf("refused counter not bumped: %+v", st)
+	}
+	// An empty batch writes nothing, so there is nothing to refuse.
+	if err := p.AppendBatch(ctx, nil); err != nil {
+		t.Fatalf("empty batch without follower: %v", err)
 	}
 
 	f := startFollower(t, t.TempDir(), addr)
@@ -212,7 +216,7 @@ func TestSemiSyncGating(t *testing.T) {
 		t.Fatalf("probe with follower: %v", err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := p.Append(ctx, crec(fmt.Sprintf("y%d", i), uint64(i))); err != nil {
+		if err := p.AppendBatch(ctx, []store.Record{crec(fmt.Sprintf("y%d", i), uint64(i))}); err != nil {
 			t.Fatalf("semisync append: %v", err)
 		}
 	}
@@ -221,12 +225,19 @@ func TestSemiSyncGating(t *testing.T) {
 	if got, want := f.Journal().Stats().LastSeq, p.Stats().LastSeq; got < want {
 		t.Fatalf("follower seq %d behind primary %d after acked semisync appends", got, want)
 	}
+	// A batch is acked once the follower holds its last record.
+	if err := p.AppendBatch(ctx, []store.Record{crec("b0", 1), crec("b1", 2), crec("b2", 3)}); err != nil {
+		t.Fatalf("semisync batch: %v", err)
+	}
+	if got, want := f.Journal().Stats().LastSeq, p.Stats().LastSeq; got < want {
+		t.Fatalf("follower seq %d behind primary %d after an acked semisync batch", got, want)
+	}
 	waitConverged(t, p, f)
 
 	// Follower loss re-degrades the shard.
 	f.Close()
 	waitDisconnected(t, p)
-	if err := p.Append(ctx, crec("z", 99)); !errors.Is(err, ErrNoFollower) {
+	if err := p.AppendBatch(ctx, []store.Record{crec("z", 99)}); !errors.Is(err, ErrNoFollower) {
 		t.Fatalf("append after follower loss: %v, want ErrNoFollower", err)
 	}
 }
@@ -242,7 +253,7 @@ func TestDroppedFrameForcesResync(t *testing.T) {
 	}
 	p, addr := startPrimary(t, ModeAsync, hook)
 	ctx := context.Background()
-	if err := p.Append(ctx, crec("seed", 1)); err != nil {
+	if err := p.AppendBatch(ctx, []store.Record{crec("seed", 1)}); err != nil {
 		t.Fatal(err)
 	}
 	f := startFollower(t, t.TempDir(), addr)
@@ -250,7 +261,7 @@ func TestDroppedFrameForcesResync(t *testing.T) {
 	// These tail frames hit the drop fault; the follower must detect
 	// the gap and resync rather than silently diverge.
 	for i := 0; i < 10; i++ {
-		if err := p.Append(ctx, store.Record{Op: store.OpStress, ID: "seed", Hours: 1}); err != nil {
+		if err := p.AppendBatch(ctx, []store.Record{{Op: store.OpStress, ID: "seed", Hours: 1}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -289,9 +300,9 @@ func TestPrimaryAckTimeoutSurfacesTyped(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	err = p.Append(context.Background(), crec("x", 1))
-	if !errors.Is(err, ErrAckTimeout) {
-		t.Fatalf("append under blackhole: %v, want ErrAckTimeout", err)
+	err = p.AppendBatch(context.Background(), []store.Record{crec("x", 1)})
+	if !errors.Is(err, ErrAckTimeout) || !errors.Is(err, store.ErrIndeterminate) {
+		t.Fatalf("append under blackhole: %v, want ErrAckTimeout, an indeterminate commit", err)
 	}
 	// The record is locally durable — indeterminate, not lost.
 	if len(p.Records()) != 1 {

@@ -25,6 +25,13 @@ type Source struct {
 // statistically independent streams.
 func New(seed uint64) *Source { return &Source{state: seed} }
 
+// State returns the generator's state; SetState(State()) resumes the
+// stream exactly where it stands.
+func (s *Source) State() uint64 { return s.state }
+
+// SetState moves the generator to a state State returned.
+func (s *Source) SetState(state uint64) { s.state = state }
+
 // Split derives an independent child generator from the current state.
 // The parent advances, so successive Split calls give distinct children.
 // Use it to hand each chip / trap ensemble / sensor its own stream so

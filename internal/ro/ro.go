@@ -118,6 +118,25 @@ func (o *Oscillator) Enabled() bool { return o.enabled }
 // FrozenInput returns the chain input value while frozen.
 func (o *Oscillator) FrozenInput() bool { return o.frozen }
 
+// State is an oscillator's mutable state: its noise stream and its
+// En mode.
+type State struct {
+	Src     uint64 // the read-out noise generator's state
+	Enabled bool
+	Frozen  bool
+}
+
+// State returns the oscillator's mutable state.
+func (o *Oscillator) State() State {
+	return State{Src: o.src.State(), Enabled: o.enabled, Frozen: o.frozen}
+}
+
+// Restore sets the oscillator's mutable state.
+func (o *Oscillator) Restore(s State) {
+	o.src.SetState(s.Src)
+	o.enabled, o.frozen = s.Enabled, s.Frozen
+}
+
 // StagePhases returns the activity pattern of stage i in the current
 // mode, for the stress engine.
 func (o *Oscillator) StagePhases(i int) []lut.Phase {

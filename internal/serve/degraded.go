@@ -159,6 +159,17 @@ func (s gatedStore) Commit(ctx context.Context, rec store.Record) error {
 	return notDurableError{err}
 }
 
+// CommitBatch commits recs through the wrapped store, tripping the
+// gate on failure.
+func (s gatedStore) CommitBatch(ctx context.Context, recs []store.Record) error {
+	err := s.Store.CommitBatch(ctx, recs)
+	if err == nil {
+		return nil
+	}
+	s.gate.trip(ctx, err)
+	return notDurableError{err}
+}
+
 // notDurableError marks a store-commit failure — the storage wearing
 // out, not a bug. Its message is the store's.
 type notDurableError struct{ error }

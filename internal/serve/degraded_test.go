@@ -187,10 +187,9 @@ func TestDegradedModeSurvivesDiskFaultAndAutoRecovers(t *testing.T) {
 
 	inj2, _, ts2 := newDegradedServer(t, dir)
 	inj2.SetDiskFault(faults.DiskFailFsync, 0)
-	// Trip with a create: an unjournalable create rolls back cleanly, so
-	// the live state stays aligned with the journal for the final
-	// replay check (a tripped stress would age the die non-durably —
-	// aging cannot be rolled back).
+	// Trip with a create: an unjournalable create rolls back, so the
+	// live state stays aligned with the journal for the final replay
+	// check (TestRefusedFleetWriteLeavesNoTrace trips with a stress).
 	if resp, _ := doRaw(t, ts2, "POST", "/v1/chips", `{"id":"tripper","seed":5}`); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("trip write: status %d, want 503", resp.StatusCode)
 	}
@@ -434,4 +433,53 @@ func TestNonFiniteDutyRefusedBeforeCommit(t *testing.T) {
 		t.Fatalf("commit_errors = %d after refused duties, want 0", n)
 	}
 	do(t, ts, "GET", "/readyz", "", http.StatusOK, nil)
+}
+
+// TestRefusedFleetWriteLeavesNoTrace: a fleet stress refused with 503
+// degraded (its fsync failed) leaves the die as the journal has it, so
+// once write mode is back the next acked read is exactly what a
+// restart replays.
+func TestRefusedFleetWriteLeavesNoTrace(t *testing.T) {
+	dir := t.TempDir()
+	inj, st, ts := newDegradedServer(t, dir)
+	do(t, ts, "POST", "/v1/chips", `{"id":"c0","seed":7}`, http.StatusCreated, nil)
+
+	inj.SetDiskFault(faults.DiskFailFsync, 0)
+	resp, raw := doRaw(t, ts, "POST", "/v1/chips/c0/stress", `{"temp_c":110,"vdd":1.32,"hours":24}`)
+	wantDegraded(t, "stress on failing disk", resp, raw)
+	inj.SetDiskFault(faults.DiskNone, 0)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if resp, _ := doRaw(t, ts, "GET", "/readyz", ""); resp.StatusCode == http.StatusOK {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("/readyz never recovered after the disk fault cleared")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	do(t, ts, "POST", "/v1/chips/c0/stress", `{"temp_c":110,"vdd":1.32,"hours":1}`, http.StatusOK, nil)
+	var acked fleet.ReadingResponse
+	do(t, ts, "GET", "/v1/chips/c0/measure", "", http.StatusOK, &acked)
+
+	ts.Close()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, _, err := store.Open[*fleet.ChipEntry](dir, store.JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	restarted, err := fleet.NewService(reopened)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := restarted.Measure(context.Background(), "c0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replayed != acked {
+		t.Fatalf("acked read %+v, a restart replays %+v", acked, replayed)
+	}
 }

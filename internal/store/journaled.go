@@ -26,7 +26,13 @@ func NewJournaled[E any](inner Store[E], log Log) Store[E] {
 
 // Commit appends rec to the log, returning once it is durable.
 func (s *journaled[E]) Commit(ctx context.Context, rec Record) error {
-	return s.log.Append(ctx, rec)
+	return s.log.AppendBatch(ctx, []Record{rec})
+}
+
+// CommitBatch appends recs to the log as one group, returning once
+// all of them are durable.
+func (s *journaled[E]) CommitBatch(ctx context.Context, recs []Record) error {
+	return s.log.AppendBatch(ctx, recs)
 }
 
 // Replay returns the log's live history in sequence order.

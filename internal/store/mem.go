@@ -124,6 +124,9 @@ func (s *Mem[E]) Len() int {
 // Commit is a no-op: a bare Mem store provides no durability.
 func (s *Mem[E]) Commit(context.Context, Record) error { return nil }
 
+// CommitBatch is a no-op, like Commit.
+func (s *Mem[E]) CommitBatch(context.Context, []Record) error { return nil }
+
 // Replay returns nil: an in-memory fleet always starts empty.
 func (s *Mem[E]) Replay() []Record { return nil }
 

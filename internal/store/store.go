@@ -11,6 +11,19 @@
 //     becomes a backend; a future replicated log or SQL history table
 //     plugs in the same way, by satisfying Log or Store.
 //
+// # Durability
+//
+// Commit returns once its record is durable, CommitBatch once a whole
+// batch is, in input order and as one group. Replay hands back the
+// live history: operations, plus the fleet's checkpoint records (a
+// chip's full state riding a phase record), after which a chip's
+// earlier records are no longer live — so replay, compaction and a
+// replica's resync cost O(chips) rather than O(lifetime ops). A failed
+// commit is the caller's to roll back; the fleet restores the chip's
+// saved state, the engine refuses the write before applying it. An
+// ErrIndeterminate failure left the records in the log, and the fleet
+// keeps such an operation applied, as replay will.
+//
 // # Lock hierarchy
 //
 // This package is the single place the fleet's lock order is defined.
@@ -42,6 +55,7 @@ package store
 
 import (
 	"context"
+	"errors"
 
 	"selfheal/internal/journal"
 )
@@ -100,11 +114,14 @@ func IsEngineOp(op Op) bool { return journal.IsEngineOp(op) }
 // them in order, and report on its own health can stand in for the
 // file journal.
 type Log interface {
-	// Append makes one record durable, returning only once it would
-	// survive a crash. Concurrent appends may share a group commit. The
-	// context carries the request's trace (if any) so the append's
-	// stage/fsync phases land in it; it does not cancel the write.
-	Append(ctx context.Context, rec Record) error
+	// AppendBatch makes recs durable as one group, in input order with
+	// no other append between them, returning only once they would
+	// survive a crash: all of them or, on an error, none — unless the
+	// error is ErrIndeterminate. Concurrent appends may share a group
+	// commit. The context carries the request's trace (if any) so the
+	// append's stage/fsync phases land in it; it does not cancel the
+	// write.
+	AppendBatch(ctx context.Context, recs []Record) error
 	// Records returns the live history in sequence order — the replay
 	// list that reconstructs the fleet.
 	Records() []Record
@@ -118,6 +135,13 @@ type Log interface {
 }
 
 var _ Log = (*journal.Journal)(nil)
+
+// ErrIndeterminate marks a failed commit whose records are durable in
+// the log all the same — a semisync primary whose follower did not
+// ack in time (internal/repl). Replay will apply them, so a caller
+// that rolls an operation back on a failed commit must keep it applied
+// on this error instead.
+var ErrIndeterminate = errors.New("store: commit indeterminate, the records are in the log")
 
 // Store is the fleet's chip table plus its persistence seam. E is the
 // entry type (the fleet layer uses *fleet.ChipEntry).
@@ -153,6 +177,10 @@ type Store[E any] interface {
 	// not cancel the commit (a half-cancelled durable write would
 	// desync the journal from memory).
 	Commit(ctx context.Context, rec Record) error
+	// CommitBatch makes recs durable as Commit does one record, in
+	// input order and as one group: all of them or, on an error other
+	// than ErrIndeterminate, none.
+	CommitBatch(ctx context.Context, recs []Record) error
 	// Replay returns the durable history to re-apply on startup, in
 	// sequence order. Non-durable stores return nil.
 	Replay() []Record

@@ -149,14 +149,14 @@ type failLog struct {
 	closed  bool
 }
 
-func (l *failLog) Append(_ context.Context, rec Record) error {
+func (l *failLog) AppendBatch(_ context.Context, recs []Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.failN > 0 {
 		l.failN--
 		return errors.New("disk on fire")
 	}
-	l.appends = append(l.appends, rec)
+	l.appends = append(l.appends, recs...)
 	return nil
 }
 

@@ -184,6 +184,42 @@ func (e *Engine) SetAC(name string, ac, frozenIn0 bool) error {
 	return fmt.Errorf("stress: no activity named %q", name)
 }
 
+// EngineState is an engine's mutable state: the simulated time and
+// each registered activity's mode, in registration order.
+type EngineState struct {
+	Elapsed units.Seconds
+	Modes   []Mode
+}
+
+// Mode is one activity's switching mode (see SetAC).
+type Mode struct {
+	AC        bool
+	FrozenIn0 bool
+}
+
+// SaveState copies the engine's mutable state into dst, reusing its
+// slice.
+func (e *Engine) SaveState(dst *EngineState) {
+	dst.Elapsed = e.elapsed
+	dst.Modes = dst.Modes[:0]
+	for _, a := range e.activities {
+		dst.Modes = append(dst.Modes, Mode{AC: a.AC, FrozenIn0: a.FrozenIn0})
+	}
+}
+
+// RestoreState sets the engine's mutable state, which must hold one
+// mode per registered activity.
+func (e *Engine) RestoreState(src *EngineState) error {
+	if len(src.Modes) != len(e.activities) {
+		return fmt.Errorf("stress: %d activity modes for %d activities", len(src.Modes), len(e.activities))
+	}
+	e.elapsed = src.Elapsed
+	for i, m := range src.Modes {
+		e.activities[i].AC, e.activities[i].FrozenIn0 = m.AC, m.FrozenIn0
+	}
+	return nil
+}
+
 // operatingThreshold is the rail voltage above which the fabric is
 // considered powered and switching; below it the die is in (possibly
 // accelerated) recovery.

@@ -144,6 +144,28 @@ func (s *PSU) SetStress(v units.Volt) error {
 	return nil
 }
 
+// PSUState is a supply's mutable state: its rail and output voltage.
+type PSUState struct {
+	Rail Rail
+	V    units.Volt
+}
+
+// State returns the supply's mutable state.
+func (s *PSU) State() PSUState { return PSUState{Rail: s.rail, V: s.v} }
+
+// Restore sets the supply's mutable state, refusing an unknown rail or
+// a voltage outside the programmable range.
+func (s *PSU) Restore(st PSUState) error {
+	if st.Rail > RailNegative {
+		return fmt.Errorf("supply: unknown rail %d", st.Rail)
+	}
+	if !(st.V >= s.params.MinV && st.V <= s.params.MaxV) {
+		return fmt.Errorf("supply: voltage %v outside [%v, %v]", st.V, s.params.MinV, s.params.MaxV)
+	}
+	s.rail, s.v = st.Rail, st.V
+	return nil
+}
+
 func quantize(v, step units.Volt) units.Volt {
 	return units.Volt(math.Round(float64(v)/float64(step))) * step
 }

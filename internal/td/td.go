@@ -387,6 +387,37 @@ func (s *State) Recover(p Params, c RecoveryCond, dt units.Seconds) float64 {
 // Reset returns the device to the fresh state.
 func (s *State) Reset() { *s = State{} }
 
+// StateWords is the length of a state's word form (see Words).
+const StateWords = 10
+
+// Words returns the state as raw 64-bit words: each field's float64
+// bits, then the phase. SetWords inverts it exactly, so a state can be
+// checkpointed and resumed bit for bit.
+func (s *State) Words() [StateWords]uint64 {
+	b := math.Float64bits
+	return [StateWords]uint64{
+		b(s.perm), b(s.rec), b(float64(s.stressAge)), b(float64(s.effAge)),
+		b(s.rec0), b(float64(s.t1)), b(float64(s.t2)), b(float64(s.prevT2)),
+		b(s.interlude), uint64(s.phase),
+	}
+}
+
+// SetWords sets the state from its word form, refusing an unknown
+// phase.
+func (s *State) SetWords(w [StateWords]uint64) error {
+	if w[9] > uint64(modeRecovery) {
+		return fmt.Errorf("td: unknown state phase %d", w[9])
+	}
+	f := math.Float64frombits
+	*s = State{
+		perm: f(w[0]), rec: f(w[1]),
+		stressAge: units.Seconds(f(w[2])), effAge: units.Seconds(f(w[3])),
+		rec0: f(w[4]), t1: units.Seconds(f(w[5])), t2: units.Seconds(f(w[6])),
+		prevT2: units.Seconds(f(w[7])), interlude: f(w[8]), phase: mode(w[9]),
+	}
+	return nil
+}
+
 // Clone returns a copy of the state.
 func (s *State) Clone() *State {
 	c := *s

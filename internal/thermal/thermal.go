@@ -79,6 +79,34 @@ func (c *Chamber) SetTarget(t units.Celsius) error {
 	return nil
 }
 
+// ChamberState is a chamber's mutable state: setpoint, plate
+// temperature and fluctuation stream.
+type ChamberState struct {
+	Setpoint units.Celsius
+	Current  units.Celsius
+	Src      uint64 // the fluctuation generator's state
+}
+
+// State returns the chamber's mutable state.
+func (c *Chamber) State() ChamberState {
+	return ChamberState{Setpoint: c.setpoint, Current: c.current, Src: c.src.State()}
+}
+
+// Restore sets the chamber's mutable state, refusing a setpoint
+// outside the chamber's range or a non-finite plate temperature.
+func (c *Chamber) Restore(s ChamberState) error {
+	if !(s.Setpoint >= c.params.MinC && s.Setpoint <= c.params.MaxC) {
+		return fmt.Errorf("thermal: setpoint %v outside chamber range [%v, %v]",
+			s.Setpoint, c.params.MinC, c.params.MaxC)
+	}
+	if math.IsNaN(float64(s.Current)) || math.IsInf(float64(s.Current), 0) {
+		return fmt.Errorf("thermal: plate temperature %v is not finite", s.Current)
+	}
+	c.setpoint, c.current = s.Setpoint, s.Current
+	c.src.SetState(s.Src)
+	return nil
+}
+
 // Target returns the programmed setpoint.
 func (c *Chamber) Target() units.Celsius { return c.setpoint }
 
