@@ -46,7 +46,8 @@ type chipMeta struct {
 	// The stress condition to return to when a scheduled sleep ends.
 	sTempC, sVdd float64
 	sched        Schedule
-	schedGen     uint32 // bumped on every schedule change; stale wheel fires drop
+	schedGen     uint32 // the partition's gen at the last schedule change; stale wheel fires drop
+	next         uint64 // epoch of the chip's live wheel item; 0 without a schedule
 	classID      int    // index into classes
 	classPos     int    // position inside that class's idx
 }
@@ -62,6 +63,11 @@ type partition struct {
 	meta  []chipMeta
 	odo   []uint64 // stress epochs endured — the engine's aging odometer
 	wheel wheel
+	// gen numbers the partition's schedule changes. A chip's live wheel
+	// item carries the gen of its chip's last change, so no stale item
+	// can match a later schedule, even one of a chip registered again
+	// under a removed chip's id.
+	gen uint32
 
 	classes   []*class
 	classByK  map[classKey]int
@@ -236,7 +242,8 @@ func (p *partition) setSchedule(id string, s Schedule) error {
 func (p *partition) applySchedule(i int, s Schedule) {
 	m := &p.meta[i]
 	m.sched = s
-	m.schedGen++
+	p.gen++
+	m.schedGen, m.next = p.gen, 0
 	if s.StressEpochs == 0 && s.SleepEpochs == 0 {
 		return // cancelled; outstanding wheel items are now stale
 	}
@@ -244,7 +251,7 @@ func (p *partition) applySchedule(i int, s Schedule) {
 	if m.phase == phaseSleep {
 		span = s.SleepEpochs
 	}
-	p.wheel.schedule(m.id, m.schedGen, p.wheel.current+span)
+	m.next = p.wheel.schedule(m.id, m.schedGen, p.wheel.current+span)
 }
 
 // fire is the wheel callback: flip the chip to its other scheduled
@@ -269,7 +276,7 @@ func (p *partition) fire(id string, gen uint32) {
 		span = m.sched.StressEpochs
 	}
 	p.moveClass(i, classKey{phase: m.phase, tempC: m.tempC, vdd: m.vdd})
-	p.wheel.schedule(id, gen, p.wheel.current+span)
+	m.next = p.wheel.schedule(id, gen, p.wheel.current+span)
 }
 
 // tdClass renders one condition class as a td.Class. Sleep voltages

@@ -39,14 +39,16 @@ type wheelItem struct {
 	at  uint64
 }
 
-// schedule inserts an item firing at absolute epoch at. Items in the
-// past or present fire on the next step (clamped to current+1) — a
-// zero-length phase would otherwise never fire.
-func (w *wheel) schedule(id string, gen uint32, at uint64) {
+// schedule inserts an item firing at absolute epoch at and returns
+// the epoch it fires at. Items in the past or present fire on the next
+// step (clamped to current+1) — a zero-length phase would otherwise
+// never fire.
+func (w *wheel) schedule(id string, gen uint32, at uint64) uint64 {
 	if at <= w.current {
 		at = w.current + 1
 	}
 	w.place(wheelItem{id: id, gen: gen, at: at})
+	return at
 }
 
 // place files an item into the coarsest slot that still distinguishes

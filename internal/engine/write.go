@@ -17,7 +17,9 @@ import (
 // application order. The snapshot is republished before the caller
 // returns, so callers read their own condition and schedule changes,
 // not just membership changes. apply gets the flush's failure (nil on
-// success); a write after Close gets ErrClosed.
+// success, and on an indeterminate failure, whose window is in the log
+// before the write's records all the same); a write after Close gets
+// ErrClosed.
 func (e *Engine) write(apply func(flushErr error) []RegResult) ([]RegResult, error) {
 	e.waiting.Add(1)
 	e.tickMu.Lock()
@@ -26,7 +28,11 @@ func (e *Engine) write(apply func(flushErr error) []RegResult) ([]RegResult, err
 	if e.closed {
 		return nil, ErrClosed
 	}
-	res := apply(e.flushLocked(context.Background()))
+	flushErr := e.flushLocked(context.Background())
+	if store.InLog(flushErr) {
+		flushErr = nil
+	}
+	res := apply(flushErr)
 	e.eventsApplied.Add(1)
 	e.publishSnapshotLocked()
 	return res, nil
@@ -44,7 +50,9 @@ func (e *Engine) write(apply func(flushErr error) []RegResult) ([]RegResult, err
 // one group (store CommitBatch), and, once durable, each is applied by
 // applyRecord — the code replay runs — so an acked write survives a
 // hard stop and replays bit-identically. Refusals are per item; a
-// failed commit fails every accepted item. Callers hold tickMu.
+// failed commit fails every accepted item, and applies them all the
+// same when it failed as store.ErrIndeterminate, since replay will.
+// Callers hold tickMu.
 func (e *Engine) commitBatch(verb string, n int, flushErr error, check func(i int) (store.Record, error)) []RegResult {
 	results := make([]RegResult, n)
 	recs := make([]store.Record, 0, n)
@@ -77,11 +85,12 @@ func (e *Engine) commitBatch(verb string, n int, flushErr error, check func(i in
 	}
 	for k, rec := range recs {
 		i := idx[k]
+		if err == nil || store.InLog(err) {
+			results[i].Err = e.applyRecord(rec)
+		}
 		if err != nil {
 			results[i].Err = fmt.Errorf("engine: %s %q could not be committed: %w", verb, results[i].ID, err)
-			continue
 		}
-		results[i].Err = e.applyRecord(rec)
 	}
 	return results
 }
@@ -304,7 +313,8 @@ func (e *Engine) SetScheduleBatch(ctx context.Context, changes []SchedChange) ([
 
 // ObserveFleetDelete removes a fleet-backed chip after the fleet
 // deleted it. No engine record is committed: the fleet's delete record
-// already prunes the chip's engine history on replay.
+// prunes the chip's engine records in the journal, and a twin an
+// engine checkpoint holds is dropped by SyncFleet at boot.
 func (e *Engine) ObserveFleetDelete(ctx context.Context, id string) error {
 	return firstErr(e.write(func(error) []RegResult {
 		if !e.has(id) {
@@ -317,11 +327,13 @@ func (e *Engine) ObserveFleetDelete(ctx context.Context, id string) error {
 // SyncFleet reconciles engine membership with the fleet's chip set:
 // fleet chips the engine does not know get registered with def's
 // condition (id and kind are filled in per chip), and fleet-backed
-// engine chips no longer in the fleet are dropped without a commit
-// (the fleet delete's journal absorption already pruned their engine
-// records). The serve layer calls it once on startup — it covers both
-// crash windows (a create acked before its engine registration
-// committed) and fleets that predate the engine.
+// engine chips no longer in the fleet are dropped without a commit, as
+// ObserveFleetDelete dropped them live (the fleet delete's journal
+// absorption pruned their engine records, or an engine checkpoint
+// taken before the delete brought them back). The serve layer calls it
+// once on startup — it covers both crash windows (a create acked
+// before its engine registration committed), deletes after a
+// checkpoint, and fleets that predate the engine.
 func (e *Engine) SyncFleet(ctx context.Context, fleetIDs []string, def Spec) ([]RegResult, error) {
 	have := make(map[string]bool, len(fleetIDs))
 	for _, id := range fleetIDs {

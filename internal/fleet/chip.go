@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -143,7 +142,7 @@ func (e *ChipEntry) Quarantined() (bool, string) {
 // transition changes nothing and commits nothing, so the journal holds
 // one record per actual state change. A failed commit rolls the flip
 // back, making a retry safe, unless its record is in the journal
-// (inLog). The first return reports whether the state changed.
+// (store.InLog). The first return reports whether the state changed.
 func (e *ChipEntry) setQuarantined(ctx context.Context, v bool, reason string, commit func(store.Record) error) (bool, error) {
 	e.lock(ctx)
 	defer e.mu.Unlock()
@@ -163,7 +162,7 @@ func (e *ChipEntry) setQuarantined(ctx context.Context, v bool, reason string, c
 	}
 	if commit != nil {
 		if err := commit(rec); err != nil {
-			if inLog(err) {
+			if store.InLog(err) {
 				return true, err
 			}
 			e.quarantined = !v
@@ -229,16 +228,11 @@ func (e *ChipEntry) apply(ctx context.Context, spec OpSpec, res *OpResult, rec s
 	if err == nil {
 		err = commit(rec)
 	}
-	if err != nil && !inLog(err) {
+	if err != nil && !store.InLog(err) {
 		_ = e.restore(undo) // a state saved from this chip always restores
 	}
 	return err
 }
-
-// inLog reports whether a failed commit left its record in the journal
-// (store.ErrIndeterminate), where replay will apply it: the op must
-// then stay applied, not be rolled back.
-func inLog(err error) bool { return errors.Is(err, store.ErrIndeterminate) }
 
 // run simulates spec under a chip.<op> span and counts it. Callers
 // hold e.mu.

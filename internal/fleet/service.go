@@ -153,7 +153,7 @@ func (s *Service) lookup(ctx context.Context, id string) (*ChipEntry, bool) {
 // DuplicateError. The new entry's chip lock is held until the commit
 // lands, so no stress/delete on the chip can be persisted ahead of its
 // create record; a failed commit rolls the registration back, making a
-// retried create safe, unless its record is in the journal (inLog).
+// retried create safe, unless its record is in the journal (store.InLog).
 func (s *Service) Create(ctx context.Context, spec CreateSpec) (ChipResponse, error) {
 	if spec.Kind == "" {
 		spec.Kind = KindBench
@@ -180,7 +180,7 @@ func (s *Service) Create(ctx context.Context, spec CreateSpec) (ChipResponse, er
 		if err := commit(store.Record{
 			Op: store.OpCreate, ID: spec.ID, Seed: spec.Seed, Kind: spec.Kind,
 		}); err != nil {
-			if inLog(err) {
+			if store.InLog(err) {
 				return ChipResponse{}, err
 			}
 			// A concurrent request may already hold a reference from Lookup
@@ -202,7 +202,7 @@ func (s *Service) Create(ctx context.Context, spec CreateSpec) (ChipResponse, er
 // therefore precedes the delete record), commits, and removes it from
 // the store. The first return reports whether the chip existed; a
 // failed commit rolls the mark back so the delete can be retried,
-// unless its record is in the journal (inLog).
+// unless its record is in the journal (store.InLog).
 func (s *Service) Delete(ctx context.Context, id string) (bool, error) {
 	return s.delete(ctx, id, s.commit(ctx))
 }
@@ -222,7 +222,7 @@ func (s *Service) delete(ctx context.Context, id string, commit func(store.Recor
 	if commit != nil {
 		err = commit(store.Record{Op: store.OpDelete, ID: id})
 	}
-	if err != nil && !inLog(err) {
+	if err != nil && !store.InLog(err) {
 		e.deleted = false
 		return true, err
 	}

@@ -11,13 +11,14 @@ import (
 // survive a re-encode → re-parse round trip — otherwise a salvaged log
 // could mutate history on the next startup.
 func FuzzParseLine(f *testing.F) {
-	// A genuine checksummed line, exactly as encodeLine writes it.
-	if line, err := encodeLine(Record{Seq: 7, Op: OpStress, ID: "c0", TempC: 85, Vdd: 1.2, Hours: 4}); err == nil {
-		f.Add(line[:len(line)-1]) // parseLine sees lines without the trailing \n
+	// A genuine checksummed line, exactly as the journal writes it.
+	var lines lineEncoder
+	if line, err := lines.encode(&Record{Seq: 7, Op: OpStress, ID: "c0", TempC: 85, Vdd: 1.2, Hours: 4}); err == nil {
+		f.Add(bytes.Clone(line[:len(line)-1])) // parseLine sees lines without the trailing \n
 	}
 	// A checkpoint line.
-	if line, err := encodeLine(Record{Seq: 9, Op: OpRejuvenate, ID: "c0", Seed: 7, Kind: "bench", Hours: 1, State: []byte{1, 1, 0, 9}}); err == nil {
-		f.Add(line[:len(line)-1])
+	if line, err := lines.encode(&Record{Seq: 9, Op: OpRejuvenate, ID: "c0", Seed: 7, Kind: "bench", Hours: 1, State: []byte{1, 1, 0, 9}}); err == nil {
+		f.Add(bytes.Clone(line[:len(line)-1]))
 	}
 	// A legacy checksum-less line.
 	f.Add([]byte(`{"seq":1,"op":"create","id":"c0","seed":7}`))
@@ -38,7 +39,7 @@ func FuzzParseLine(f *testing.F) {
 			return
 		}
 		// Accepted lines must round-trip losslessly.
-		reenc, err := encodeLine(rec)
+		reenc, err := new(lineEncoder).encode(&rec)
 		if err != nil {
 			t.Fatalf("accepted record %+v does not re-encode: %v", rec, err)
 		}

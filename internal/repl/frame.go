@@ -33,10 +33,10 @@ import (
 )
 
 // MaxFrame bounds one frame's payload. The largest legitimate frame is
-// a snapshot chunk of snapshotBatch records; 4 MiB leaves an order of
-// magnitude of headroom. A length prefix past the bound is rejected
-// *before* any allocation, so a corrupt or hostile peer cannot make the
-// reader allocate unboundedly.
+// a batch frame of frameBudget bytes of records (or one journal line
+// past it, at most 1 MiB); 4 MiB leaves room to spare. A length prefix
+// past the bound is rejected *before* any allocation, so a corrupt or
+// hostile peer cannot make the reader allocate unboundedly.
 const MaxFrame = 4 << 20
 
 // Typed frame errors. Readers distinguish a clean end of stream

@@ -218,10 +218,11 @@ func (s *Server) handleEngineDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 // engineObserveCreates mirrors freshly fabricated fleet chips into the
-// aging engine under the default fleet condition. Registration
-// failures are logged, not surfaced: the fleet create already
-// committed, and the startup SyncFleet reconciles any gap on the next
-// boot.
+// aging engine under the default fleet condition: chips whose create
+// committed, and chips whose create failed as store.ErrIndeterminate,
+// which the fleet keeps (store.InLog). Registration failures are
+// logged, not surfaced: the fleet create already committed, and the
+// startup SyncFleet reconciles any gap on the next boot.
 func (s *Server) engineObserveCreates(r *http.Request, ids ...string) {
 	if s.aging == nil || len(ids) == 0 {
 		return
@@ -247,8 +248,10 @@ func (s *Server) engineObserveCreates(r *http.Request, ids ...string) {
 }
 
 // engineObserveDelete drops a fleet chip's engine twin after the
-// fleet delete committed (the delete record prunes the chip's engine
-// journal history, so no engine record is written).
+// fleet delete committed, or failed as store.ErrIndeterminate. No
+// engine record is written: the delete record prunes the chip's engine
+// journal history, and a twin an engine checkpoint holds comes back on
+// replay and is dropped by SyncFleet at boot.
 func (s *Server) engineObserveDelete(r *http.Request, id string) {
 	if s.aging == nil {
 		return

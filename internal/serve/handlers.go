@@ -11,6 +11,7 @@ import (
 	"selfheal/internal/engine"
 	"selfheal/internal/faults"
 	"selfheal/internal/fleet"
+	"selfheal/internal/store"
 )
 
 // decodeJSON strictly decodes a request body: unknown fields and
@@ -139,6 +140,9 @@ func (s *Server) handleCreateChip(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := s.fleet.Create(r.Context(), req)
 	if err != nil {
+		if store.InLog(err) {
+			s.engineObserveCreates(r, req.ID)
+		}
 		s.writeError(w, r, err)
 		return
 	}
@@ -154,6 +158,9 @@ func (s *Server) handleDeleteChip(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	existed, err := s.fleet.Delete(r.Context(), id)
 	if err != nil {
+		if store.InLog(err) {
+			s.engineObserveDelete(r, id)
+		}
 		s.writeError(w, r, err)
 		return
 	}
@@ -255,6 +262,8 @@ func (s *Server) handleBatchCreate(w http.ResponseWriter, r *http.Request) {
 			resp.Failed++
 		} else {
 			resp.Created++
+		}
+		if res.Error == "" || store.InLog(res.Err) {
 			created = append(created, res.ID)
 		}
 	}

@@ -15,14 +15,16 @@
 //
 // Commit returns once its record is durable, CommitBatch once a whole
 // batch is, in input order and as one group. Replay hands back the
-// live history: operations, plus the fleet's checkpoint records (a
-// chip's full state riding a phase record), after which a chip's
-// earlier records are no longer live — so replay, compaction and a
-// replica's resync cost O(chips) rather than O(lifetime ops). A failed
-// commit is the caller's to roll back; the fleet restores the chip's
-// saved state, the engine refuses the write before applying it. An
-// ErrIndeterminate failure left the records in the log, and the fleet
-// keeps such an operation applied, as replay will.
+// live history: operations, plus checkpoints — a fleet chip's full
+// state riding a phase record, after which the chip's earlier records
+// are no longer live, and the aging engine's whole state in a group of
+// chunk records, after which no earlier engine record is — so replay,
+// compaction and a replica's resync cost O(chips) rather than
+// O(lifetime ops). A failed commit is the caller's to roll back; the
+// fleet restores the chip's saved state, the engine refuses the write
+// before applying it. An ErrIndeterminate failure left the records in
+// the log, and the fleet and the engine both keep such an operation
+// applied, as replay will.
 //
 // # Lock hierarchy
 //
@@ -94,15 +96,16 @@ const (
 )
 
 // The journaled engine operations (see internal/engine), re-exported
-// from the journal. The fleet replay skips these (IsEngineOp); the
-// engine replay consumes them alongside the fleet's create/delete
-// records, which double as engine membership changes.
+// from the journal. The fleet replay skips these (IsEngineOp) and the
+// engine replay consumes them; a fleet chip's engine twin joins by an
+// OpEngineReg of its own.
 const (
-	OpEngineReg      = journal.OpEngineReg
-	OpEngineRemove   = journal.OpEngineRemove
-	OpEngineSet      = journal.OpEngineSet
-	OpEngineSchedule = journal.OpEngineSchedule
-	OpEngineEpoch    = journal.OpEngineEpoch
+	OpEngineReg        = journal.OpEngineReg
+	OpEngineRemove     = journal.OpEngineRemove
+	OpEngineSet        = journal.OpEngineSet
+	OpEngineSchedule   = journal.OpEngineSchedule
+	OpEngineEpoch      = journal.OpEngineEpoch
+	OpEngineCheckpoint = journal.OpEngineCheckpoint
 )
 
 // IsEngineOp reports whether op belongs to the engine subsystem.
@@ -142,6 +145,11 @@ var _ Log = (*journal.Journal)(nil)
 // that rolls an operation back on a failed commit must keep it applied
 // on this error instead.
 var ErrIndeterminate = errors.New("store: commit indeterminate, the records are in the log")
+
+// InLog reports whether a failed commit left its records in the log
+// (ErrIndeterminate), where replay will apply them: the operation must
+// then stay applied, not be rolled back.
+func InLog(err error) bool { return errors.Is(err, ErrIndeterminate) }
 
 // Store is the fleet's chip table plus its persistence seam. E is the
 // entry type (the fleet layer uses *fleet.ChipEntry).

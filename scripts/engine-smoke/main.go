@@ -1,11 +1,16 @@
 // Command engine-smoke is the fleet-aging-engine smoke test CI runs
 // after the observability smoke: it builds selfheal-serve, boots it
-// with the engine ticking fast, loads 50k chips through the batch APIs
-// (a fleet-backed slice plus engine-native bulk registrations), lets
-// 100 epochs elapse while concurrent readers watch the snapshots, and
+// durable with the engine ticking fast, loads 50k chips through the
+// batch APIs (a fleet-backed slice plus engine-native bulk
+// registrations), lets 300 epochs elapse — past the engine's first
+// checkpoint — while concurrent readers watch the snapshots, and
 // verifies the reads were monotone, the odometers advanced, the epoch
 // lag stayed bounded, and the Prometheus exposition kept its per-chip
-// cardinality capped.
+// cardinality capped. It then kill -9s the server, restarts it on the
+// same data directory, and checks that every chip is back from the
+// checkpoint plus its tail, the epoch within one flush window of the
+// last one read, and no sampled odometer behind its reading before the
+// kill.
 package main
 
 import (
@@ -13,6 +18,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -25,9 +31,11 @@ const (
 	totalChips  = 50_000
 	fleetChips  = 1_000 // fabricated through the fleet API; the rest bulk-register
 	batchSize   = 1_000
-	wantEpochs  = 100
+	wantEpochs  = 300 // past the engine's first checkpoint, at 256
 	epochPeriod = 25 * time.Millisecond
 	maxLagSecs  = 5.0 // generous: a 1-CPU CI box ticking 50k chips
+	flushEpochs = 16  // the engine's default journal flush window
+	probes      = 20  // chips whose odometers are checked across the restart
 )
 
 // engineStatus mirrors the GET /v1/engine body.
@@ -38,8 +46,20 @@ type engineStatus struct {
 		Chips           int     `json:"chips"`
 		EpochLagSeconds float64 `json:"epoch_lag_seconds"`
 		ChipsPerSecond  float64 `json:"chips_per_second"`
+		ReplayedEpochs  uint64  `json:"replayed_epochs"`
 		AdvanceError    string  `json:"advance_error,omitempty"`
 	} `json:"stats"`
+}
+
+// odometer reads one engine chip's odometer.
+func odometer(base, id string) uint64 {
+	var cv struct {
+		Odometer uint64 `json:"odometer_epochs"`
+	}
+	if err := json.Unmarshal(harness.MustGet(base+"/v1/engine/chips/"+id, http.StatusOK), &cv); err != nil {
+		harness.Fatalf("decode chip view of %s: %v", id, err)
+	}
+	return cv.Odometer
 }
 
 func status(base string) engineStatus {
@@ -57,14 +77,16 @@ func main() {
 	}
 	defer os.RemoveAll(tmp)
 	bin := harness.Build(tmp, false)
-
-	srv := harness.Start("server", bin, harness.FreePort(), os.Stdout, os.Stderr,
+	args := []string{
 		"-engine",
 		"-epoch", epochPeriod.String(),
+		"-data", filepath.Join(tmp, "data"),
 		"-log-level", "warn",
 		"-grace", "2s",
-	)
-	defer srv.Stop()
+	}
+	addr := harness.FreePort()
+	srv := harness.Start("server", bin, addr, os.Stdout, os.Stderr, args...)
+	defer func() { srv.Stop() }()
 	base := srv.Base
 	srv.WaitHealthy(10 * time.Second)
 
@@ -119,7 +141,7 @@ func main() {
 	fmt.Printf("engine-smoke: loaded %d chips in %v (epoch %d already ticking)\n",
 		totalChips, time.Since(loadStart).Round(time.Millisecond), st.Stats.Epoch)
 
-	// ---- Watch 100 epochs elapse with concurrent monotone readers. ----
+	// ---- Watch 300 epochs elapse with concurrent monotone readers. ----
 	startEpoch := st.Stats.Epoch
 	target := startEpoch + wantEpochs
 	var stop atomic.Bool
@@ -191,13 +213,7 @@ func main() {
 	}
 
 	// ---- A DC chip's odometer matches the epochs it lived through. ----
-	var cv struct {
-		Odometer uint64 `json:"odometer_epochs"`
-	}
-	if err := json.Unmarshal(harness.MustGet(base+"/v1/engine/chips/e01002", http.StatusOK), &cv); err != nil {
-		harness.Fatalf("decode final chip view: %v", err)
-	}
-	if cv.Odometer == 0 {
+	if odometer(base, "e01002") == 0 {
 		harness.Fatalf("DC chip e01002 never aged")
 	}
 
@@ -220,6 +236,52 @@ func main() {
 		harness.Fatalf("fleet per-chip ops series = %d, want <= 50", n)
 	}
 
-	fmt.Printf("engine-smoke: PASS — %d chips, %d epochs, peak lag %.3fs, %.0f chips/sec last tick\n",
-		totalChips, wantEpochs, maxLag, st.Stats.ChipsPerSecond)
+	// ---- kill -9, restart on the same journal: checkpoint plus tail. ----
+	// Sample odometers, then let two flush windows pass, so the
+	// journal holds at least the sampled epoch when the server dies.
+	sampled := make(map[string]uint64, probes)
+	for k := 0; k < probes; k++ {
+		id := fmt.Sprintf("e%05d", fleetChips+k*(totalChips-fleetChips)/probes)
+		sampled[id] = odometer(base, id)
+	}
+	for sampledAt := status(base).Stats.Epoch; status(base).Stats.Epoch < sampledAt+2*flushEpochs; {
+		time.Sleep(10 * time.Millisecond)
+	}
+	lastRead := status(base).Stats.Epoch
+	if err := srv.Kill(); err != nil {
+		harness.Fatalf("kill -9: %v", err)
+	}
+	restartStart := time.Now()
+	srv = harness.Start("restarted server", bin, addr, os.Stdout, os.Stderr, args...)
+	for {
+		if code, _ := harness.Get(srv.Base + "/readyz"); code == http.StatusOK {
+			break
+		}
+		if time.Since(restartStart) > time.Minute {
+			harness.Fatalf("restarted server never became ready")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	restart := time.Since(restartStart)
+	rst := status(srv.Base)
+	if rst.Stats.Chips != totalChips {
+		harness.Fatalf("restarted engine holds %d chips, want %d", rst.Stats.Chips, totalChips)
+	}
+	if rst.Stats.Epoch+flushEpochs <= lastRead || rst.Stats.Epoch >= lastRead+flushEpochs {
+		harness.Fatalf("restarted engine at epoch %d, last read before the kill %d: want within one flush window (%d)",
+			rst.Stats.Epoch, lastRead, flushEpochs)
+	}
+	if rst.Stats.ReplayedEpochs >= 256 {
+		harness.Fatalf("restart re-simulated %d epochs, want the tail after a checkpoint (< 256)", rst.Stats.ReplayedEpochs)
+	}
+	for id, before := range sampled {
+		if after := odometer(srv.Base, id); after < before {
+			harness.Fatalf("%s odometer went backwards across the restart: %d after %d", id, after, before)
+		}
+	}
+	fmt.Printf("engine-smoke: restart after kill -9 at epoch %d ready in %v (epoch %d, %d epochs replayed after the checkpoint)\n",
+		lastRead, restart.Round(time.Millisecond), rst.Stats.Epoch, rst.Stats.ReplayedEpochs)
+
+	fmt.Printf("engine-smoke: PASS — %d chips, %d epochs, peak lag %.3fs, %.0f chips/sec last tick, restart %v\n",
+		totalChips, wantEpochs, maxLag, st.Stats.ChipsPerSecond, restart.Round(time.Millisecond))
 }
