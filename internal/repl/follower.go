@@ -175,7 +175,7 @@ func (f *Follower) session() error {
 			inSnap = true
 			snapRecs = nil
 		case kindBatch:
-			var b batchMsg
+			var b batchMsg[store.Record]
 			if _, err := decodeMsg(payload, &b); err != nil {
 				return err
 			}

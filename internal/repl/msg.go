@@ -3,8 +3,6 @@ package repl
 import (
 	"encoding/json"
 	"fmt"
-
-	"selfheal/internal/store"
 )
 
 // Message kinds. A frame's payload is one kind byte followed by the
@@ -41,10 +39,13 @@ type resetMsg struct {
 // distributed trace id of the newest traced record inside, so a
 // mutation's trace can be followed across the replication hop (the
 // follower surfaces it as Stats.LastTraceID; the records themselves
-// also carry their ids durably). Old peers ignore the field.
-type batchMsg struct {
-	Recs    []store.Record `json:"recs"`
-	TraceID string         `json:"trace_id,omitempty"`
+// also carry their ids durably). Old peers ignore the field. The
+// follower decodes R = store.Record; the primary encodes R =
+// json.RawMessage, records it has already marshalled, so it can cut
+// frames by their encoded size.
+type batchMsg[R any] struct {
+	Recs    []R    `json:"recs"`
+	TraceID string `json:"trace_id,omitempty"`
 }
 
 // snapDoneMsg closes the snapshot phase.
