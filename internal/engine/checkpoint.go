@@ -1,11 +1,9 @@
 package engine
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"math"
 
+	"selfheal/internal/codec"
 	"selfheal/internal/store"
 	"selfheal/internal/td"
 )
@@ -62,13 +60,12 @@ func (e *Engine) encodeCheckpoint() []byte {
 	}
 	b := make([]byte, 0, 17+8*len(e.parts)+n*(ckptChipMin+16))
 	b = append(b, checkpointVersion)
-	b = binary.LittleEndian.AppendUint64(b, e.epoch)
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.simHours))
-	u64 := binary.LittleEndian.AppendUint64
-	f64 := func(b []byte, f float64) []byte { return u64(b, math.Float64bits(f)) }
+	b = codec.AppendU64(b, e.epoch)
+	b = codec.AppendF64(b, e.simHours)
+	u64, f64 := codec.AppendU64, codec.AppendF64
 	for _, p := range e.parts {
-		b = binary.LittleEndian.AppendUint32(b, p.gen)
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(p.meta)))
+		b = codec.AppendU32(b, p.gen)
+		b = codec.AppendU32(b, uint32(len(p.meta)))
 		for i := range p.meta {
 			m := &p.meta[i]
 			var flags byte
@@ -82,8 +79,7 @@ func (e *Engine) encodeCheckpoint() []byte {
 				flags |= ckptSched
 			}
 			b = append(b, flags)
-			b = binary.AppendUvarint(b, uint64(len(m.id)))
-			b = append(b, m.id...)
+			b = codec.AppendStr(b, m.id)
 			st := p.batch.ExportState(i)
 			for _, w := range st.Words() {
 				b = u64(b, w)
@@ -91,7 +87,7 @@ func (e *Engine) encodeCheckpoint() []byte {
 			b = f64(b, p.batch.Duty(i))
 			b = u64(b, p.odo[i])
 			b = f64(f64(f64(f64(b, m.tempC), m.vdd), m.sTempC), m.sVdd)
-			b = binary.LittleEndian.AppendUint32(b, m.schedGen)
+			b = codec.AppendU32(b, m.schedGen)
 			if m.next != 0 {
 				s := &m.sched
 				b = u64(u64(b, s.StressEpochs), s.SleepEpochs)
@@ -117,64 +113,6 @@ func (e *Engine) checkpointRecords() []store.Record {
 	return append(recs, store.Record{Op: store.OpEngineCheckpoint, State: b, Final: true})
 }
 
-// ckptReader consumes a checkpoint encoding; the first short read
-// sticks in err.
-type ckptReader struct {
-	b   []byte
-	err error
-}
-
-var errCkptShort = errors.New("engine: checkpoint: truncated")
-
-func (r *ckptReader) take(n int) []byte {
-	if r.err != nil || len(r.b) < n {
-		r.err = errCkptShort
-		return nil
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out
-}
-
-func (r *ckptReader) u8() byte {
-	if b := r.take(1); b != nil {
-		return b[0]
-	}
-	return 0
-}
-
-func (r *ckptReader) u32() uint32 {
-	if b := r.take(4); b != nil {
-		return binary.LittleEndian.Uint32(b)
-	}
-	return 0
-}
-
-func (r *ckptReader) u64() uint64 {
-	if b := r.take(8); b != nil {
-		return binary.LittleEndian.Uint64(b)
-	}
-	return 0
-}
-
-func (r *ckptReader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-// str reads a uvarint-length-prefixed string, refusing a length not
-// written in its shortest form, so decoding stays the inverse of
-// encoding.
-func (r *ckptReader) str() string {
-	if r.err != nil {
-		return ""
-	}
-	n, k := binary.Uvarint(r.b)
-	if k <= 0 || k != len(binary.AppendUvarint(nil, n)) || n > uint64(len(r.b)-k) {
-		r.err = errors.New("engine: checkpoint: bad id length")
-		return ""
-	}
-	r.b = r.b[k:]
-	return string(r.take(int(n)))
-}
-
 // restoreCheckpoint replaces the engine's whole state with a decoded
 // checkpoint: fresh partitions, their classes, id indexes and timing
 // wheels rebuilt, each scheduled chip's one live wheel item booked
@@ -185,38 +123,32 @@ func (r *ckptReader) str() string {
 // both phase lengths and a transition still ahead, and no trailing
 // bytes. Callers hold tickMu (or own the engine, as replay does).
 func (e *Engine) restoreCheckpoint(b []byte) error {
-	r := &ckptReader{b: b}
-	if v := r.u8(); r.err == nil && v != checkpointVersion {
+	r := codec.NewReader(b, "engine: checkpoint")
+	if v := r.U8(); r.Err() == nil && v != checkpointVersion {
 		return fmt.Errorf("engine: checkpoint: unknown version %d", v)
 	}
-	epoch := r.u64()
-	simHours := r.f64()
+	epoch := r.U64()
+	simHours := r.F64()
 	var parts [store.ShardCount]*partition
 	chips := 0
 	for pi := range parts {
 		p := newPartition()
 		p.wheel.current = epoch
-		p.gen = r.u32()
-		n := r.u32()
-		if r.err == nil && uint64(n) > uint64(len(r.b)/ckptChipMin) {
-			return fmt.Errorf("engine: checkpoint: partition %d: %d chips do not fit %d bytes", pi, n, len(r.b))
-		}
-		for k := uint32(0); k < n && r.err == nil; k++ {
+		p.gen = r.U32()
+		n := r.Count("chips", ckptChipMin)
+		for k := 0; k < n && r.Err() == nil; k++ {
 			if err := p.restoreChip(e.params, r, pi, epoch); err != nil {
 				return err
 			}
 		}
-		if r.err != nil {
-			return r.err
+		if r.Err() != nil {
+			return r.Err()
 		}
 		parts[pi] = p
 		chips += len(p.meta)
 	}
-	if r.err != nil {
-		return r.err
-	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("engine: checkpoint: %d trailing bytes", len(r.b))
+	if err := r.Done(); err != nil {
+		return err
 	}
 	e.parts = parts
 	e.epoch, e.simHours = epoch, simHours
@@ -225,25 +157,25 @@ func (e *Engine) restoreCheckpoint(b []byte) error {
 }
 
 // restoreChip decodes one chip of partition pi into p.
-func (p *partition) restoreChip(params td.Params, r *ckptReader, pi int, epoch uint64) error {
-	flags := r.u8()
-	id := r.str()
+func (p *partition) restoreChip(params td.Params, r *codec.Reader, pi int, epoch uint64) error {
+	flags := r.U8()
+	id := r.Str()
 	var w [td.StateWords]uint64
 	for k := range w {
-		w[k] = r.u64()
+		w[k] = r.U64()
 	}
-	duty := r.f64()
-	odo := r.u64()
+	duty := r.F64()
+	odo := r.U64()
 	m := chipMeta{id: id, fleet: flags&ckptFleet != 0}
-	m.tempC, m.vdd, m.sTempC, m.sVdd = r.f64(), r.f64(), r.f64(), r.f64()
-	m.schedGen = r.u32()
+	m.tempC, m.vdd, m.sTempC, m.sVdd = r.F64(), r.F64(), r.F64(), r.F64()
+	m.schedGen = r.U32()
 	if flags&ckptSched != 0 {
-		m.sched.StressEpochs, m.sched.SleepEpochs = r.u64(), r.u64()
-		m.sched.SleepTempC, m.sched.SleepVdd = r.f64(), r.f64()
-		m.next = r.u64()
+		m.sched.StressEpochs, m.sched.SleepEpochs = r.U64(), r.U64()
+		m.sched.SleepTempC, m.sched.SleepVdd = r.F64(), r.F64()
+		m.next = r.U64()
 	}
-	if r.err != nil {
-		return r.err
+	if r.Err() != nil {
+		return r.Err()
 	}
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("engine: checkpoint: chip %q: "+format, append([]any{id}, args...)...)

@@ -417,8 +417,9 @@ func TestEngineCheckpointReplayEqualsFullReplay(t *testing.T) {
 // by the engine before checkpoints existed (testdata/parent-journal:
 // 1,100 epochs over 200 chips of the five-way mix and a fleet twin,
 // with schedule, condition and membership changes) to the state that
-// engine reached, which it recorded in expected.json. Never regenerate
-// the journal with current code.
+// engine reached, which it recorded in expected.json, and checks the
+// checkpoint it then writes decodes to itself. Never regenerate the
+// journal with current code.
 func TestEngineParentJournalReplays(t *testing.T) {
 	src := filepath.Join("testdata", "parent-journal")
 	dir := t.TempDir()
@@ -453,6 +454,28 @@ func TestEngineParentJournalReplays(t *testing.T) {
 		t.Fatalf("replayed %d epochs, want 1100", got)
 	}
 	sameDump(t, "parent journal", dumpEngine(e), want)
+
+	// The next flush commits a checkpoint, which restores into a fresh
+	// engine that encodes to the same bytes.
+	e.Tick(context.Background())
+	flush(t, e)
+	var ckpt []byte
+	for _, rec := range st.Replay() {
+		if rec.Op == store.OpEngineCheckpoint {
+			ckpt = append(ckpt, rec.State...)
+		}
+	}
+	fresh, err := New(store.NewMem[any](), Config{EpochHours: 0.5, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if err := fresh.restoreCheckpoint(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if got := fresh.encodeCheckpoint(); len(ckpt) == 0 || !bytes.Equal(got, ckpt) {
+		t.Fatalf("the %d-byte checkpoint re-encodes to %d different bytes", len(ckpt), len(got))
+	}
 }
 
 // TestTornEngineCheckpoint: a checkpoint group cut before its final

@@ -65,11 +65,12 @@
 //     to.
 //
 // Chips registered on behalf of fleet chips commit OpEngineReg records
-// of their own (kind "fleet"). A fleet delete prunes the chip's engine
-// records in the journal, so no separate engine record is needed, but
-// it cannot reach a checkpoint: a twin deleted after one comes back on
-// replay, and SyncFleet drops it at boot (a chip registered again
-// under its id, fleet or engine-native, replaces it on replay).
+// of their own (kind "fleet"). A fleet delete commits no engine record:
+// the journal supersedes engine records only at an engine checkpoint,
+// so a twin deleted since the last one comes back on replay, from its
+// registration or from that checkpoint alike, and SyncFleet drops it
+// at boot (a chip registered again under its id, fleet or
+// engine-native, replaces it on replay).
 //
 // # Lock hierarchy
 //
@@ -111,9 +112,10 @@ type Journal interface {
 }
 
 // KindFleet marks a registration made on behalf of a fleet chip; such
-// chips can only be removed through the fleet's delete, which prunes
-// their engine records journal-side. A twin deleted after an engine
-// checkpoint is in that checkpoint, and SyncFleet drops it at boot.
+// chips can only be removed through the fleet's delete, which commits
+// no engine record. A deleted twin stays in the engine's journal
+// history until the next engine checkpoint, so a restart before it
+// replays the twin, and SyncFleet drops it at boot.
 const KindFleet = "fleet"
 
 // Config tunes an Engine; zero values take the documented defaults.
@@ -358,9 +360,9 @@ func (e *Engine) applyRecord(rec store.Record) error {
 		if i, ok := p.index[rec.ID]; ok && p.meta[i].fleet {
 			// Only replay gets here: a live registration over an
 			// existing id is refused, so this twin was deleted before
-			// the record committed, after a checkpoint that restored
-			// it. The id now names a fleet chip created again or an
-			// engine-native chip.
+			// the record committed, and its own registration or a
+			// checkpoint restored it. The id now names a fleet chip
+			// created again or an engine-native chip.
 			p.remove(rec.ID)
 			e.chips.Add(-1)
 		}

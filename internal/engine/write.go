@@ -312,9 +312,10 @@ func (e *Engine) SetScheduleBatch(ctx context.Context, changes []SchedChange) ([
 }
 
 // ObserveFleetDelete removes a fleet-backed chip after the fleet
-// deleted it. No engine record is committed: the fleet's delete record
-// prunes the chip's engine records in the journal, and a twin an
-// engine checkpoint holds is dropped by SyncFleet at boot.
+// deleted it. No engine record is committed: the twin's engine records
+// stay live until the next engine checkpoint, which no longer holds
+// it, and a restart before then replays the twin and SyncFleet drops
+// it at boot.
 func (e *Engine) ObserveFleetDelete(ctx context.Context, id string) error {
 	return firstErr(e.write(func(error) []RegResult {
 		if !e.has(id) {
@@ -328,12 +329,12 @@ func (e *Engine) ObserveFleetDelete(ctx context.Context, id string) error {
 // fleet chips the engine does not know get registered with def's
 // condition (id and kind are filled in per chip), and fleet-backed
 // engine chips no longer in the fleet are dropped without a commit, as
-// ObserveFleetDelete dropped them live (the fleet delete's journal
-// absorption pruned their engine records, or an engine checkpoint
-// taken before the delete brought them back). The serve layer calls it
-// once on startup — it covers both crash windows (a create acked
-// before its engine registration committed), deletes after a
-// checkpoint, and fleets that predate the engine.
+// ObserveFleetDelete dropped them live (replay brought them back: the
+// journal keeps a twin's registration, or the checkpoint holding it,
+// until the first engine checkpoint after its delete). The serve layer
+// calls it once on startup — it covers both crash windows (a create
+// acked before its engine registration committed), deletes since the
+// last engine checkpoint, and fleets that predate the engine.
 func (e *Engine) SyncFleet(ctx context.Context, fleetIDs []string, def Spec) ([]RegResult, error) {
 	have := make(map[string]bool, len(fleetIDs))
 	for _, id := range fleetIDs {

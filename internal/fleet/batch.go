@@ -54,17 +54,18 @@ type OpResult struct {
 }
 
 // CreateBatch fabricates many chips concurrently on the bounded worker
-// pool. Items fail independently: results[i] corresponds to specs[i],
-// and a failed item never blocks the rest. On a durable fleet the
-// concurrent commits share group-committed fsyncs in the store's log.
-// A cancelled ctx stops scheduling new items; already-running items
+// pool, each id's items in input order, so of two creates of one id the
+// first wins. Items fail independently: results[i] corresponds to
+// specs[i], and a failed item never blocks the rest. On a durable fleet
+// the concurrent commits share group-committed fsyncs in the store's
+// log. A cancelled ctx stops starting new items; already-running items
 // finish and unstarted ones report the context error.
 func (s *Service) CreateBatch(ctx context.Context, specs []CreateSpec) []CreateResult {
 	bctx, batch := obs.StartSpan(ctx, "fleet.batch",
 		obs.String("kind", "create"), obs.Int("items", len(specs)))
 	defer batch.End()
 	results := make([]CreateResult, len(specs))
-	s.runBatch(bctx, batch, len(specs), func(ictx context.Context, i int) {
+	s.runBatch(bctx, batch, len(specs), func(i int) string { return specs[i].ID }, func(ictx context.Context, i int) {
 		res := CreateResult{ID: specs[i].ID}
 		chip, err := s.Create(ictx, specs[i])
 		if err != nil {
@@ -82,16 +83,17 @@ func (s *Service) CreateBatch(ctx context.Context, specs []CreateSpec) []CreateR
 }
 
 // ApplyBatch runs a mixed stress/rejuvenate/measure/odometer batch
-// concurrently on the bounded worker pool. Sharded storage lets items
-// targeting different chips proceed in parallel; items targeting the
-// same chip serialize on its lock in scheduling order. Partial-failure
-// and cancellation semantics match CreateBatch.
+// concurrently on the bounded worker pool. Items targeting different
+// chips proceed in parallel; items targeting the same chip run on one
+// worker in input order, so a measure after a stress reads the
+// stressed die. Partial-failure and cancellation semantics match
+// CreateBatch.
 func (s *Service) ApplyBatch(ctx context.Context, specs []OpSpec) []OpResult {
 	bctx, batch := obs.StartSpan(ctx, "fleet.batch",
 		obs.String("kind", "ops"), obs.Int("items", len(specs)))
 	defer batch.End()
 	results := make([]OpResult, len(specs))
-	s.runBatch(bctx, batch, len(specs), func(ictx context.Context, i int) {
+	s.runBatch(bctx, batch, len(specs), func(i int) string { return specs[i].ID }, func(ictx context.Context, i int) {
 		results[i] = s.Apply(ictx, specs[i])
 	}, func(i int, err error) {
 		cerr := CanceledError{Err: err}
@@ -100,46 +102,66 @@ func (s *Service) ApplyBatch(ctx context.Context, specs []OpSpec) []OpResult {
 	return results
 }
 
-// runBatch fans n items out over the worker pool. run(ictx, i)
-// executes item i under a batch.item span (carried by ictx, so the
-// item's chip-lock/store/journal spans nest beneath it, labeled with
-// the worker that picked it up — the pool's scheduling made visible);
-// skip(i, err) records an item that was never scheduled because ctx
+// runBatch fans n items out over the worker pool, all of one chip's
+// items (id(i) names item i's chip) to one worker, in input order.
+// run(ictx, i) executes item i under a batch.item span (carried by
+// ictx, so the item's chip-lock/store/journal spans nest beneath it,
+// labeled with the worker that ran it — the pool's scheduling made
+// visible); skip(i, err) records an item that never started because ctx
 // was cancelled first. Every index gets exactly one of the two calls.
-func (s *Service) runBatch(ctx context.Context, batch *obs.Span, n int, run func(ictx context.Context, i int), skip func(i int, err error)) {
-	workers := s.workers
-	if workers > n {
-		workers = n
+func (s *Service) runBatch(ctx context.Context, batch *obs.Span, n int, id func(i int) string, run func(ictx context.Context, i int), skip func(i int, err error)) {
+	// heads holds each chip's first item, and next[i] the chip's item
+	// after i (-1: none).
+	var heads []int
+	next := make([]int, n)
+	last := make(map[string]int, n)
+	for i := 0; i < n; i++ {
+		next[i] = -1
+		if p, ok := last[id(i)]; ok {
+			next[p] = i
+		} else {
+			heads = append(heads, i)
+		}
+		last[id(i)] = i
 	}
+	workers := min(s.workers, len(heads))
 	if workers < 1 {
 		return
 	}
 	batch.Annotate(obs.Int("workers", workers))
-	idx := make(chan int)
+	chips := make(chan int)
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
-			for i := range idx {
-				ictx, isp := obs.StartSpan(ctx, "batch.item",
-					obs.Int("index", i), obs.Int("worker", w))
-				run(ictx, i)
-				isp.End()
+			for h := range chips {
+				for i := h; i >= 0; i = next[i] {
+					if err := ctx.Err(); err != nil {
+						skip(i, err)
+						continue
+					}
+					ictx, isp := obs.StartSpan(ctx, "batch.item",
+						obs.Int("index", i), obs.Int("worker", w))
+					run(ictx, i)
+					isp.End()
+				}
 			}
 		}(w)
 	}
 feed:
-	for i := 0; i < n; i++ {
+	for k, h := range heads {
 		select {
-		case idx <- i:
+		case chips <- h:
 		case <-ctx.Done():
-			for j := i; j < n; j++ {
-				skip(j, ctx.Err())
+			for _, h := range heads[k:] {
+				for i := h; i >= 0; i = next[i] {
+					skip(i, ctx.Err())
+				}
 			}
 			break feed
 		}
 	}
-	close(idx)
+	close(chips)
 	wg.Wait()
 }

@@ -502,7 +502,8 @@ type parentExpected struct {
 // chip and epoch records, compacted once mid-history — and replays it
 // to the usage, next readings and engine shifts the old code gave, bit
 // for bit. Bench chips go on to a 1 h stress, monitored ones too, and
-// read again.
+// read again; then every chip is stressed until it checkpoints, and
+// each checkpoint must decode and re-encode to itself.
 func TestParentJournalReplays(t *testing.T) {
 	raw, err := os.ReadFile("testdata/parent-journal/expected.json")
 	if err != nil {
@@ -596,6 +597,33 @@ func TestParentJournalReplays(t *testing.T) {
 	wb, _ := json.MarshalIndent(want, "", "  ")
 	if !bytes.Equal(gb, wb) {
 		t.Fatalf("replay of the parent journal differs:\n got %s\nwant %s", gb, wb)
+	}
+
+	// Stressed until each checkpoints, the chips write checkpoints that
+	// decode and re-encode to the same bytes.
+	for _, id := range ids {
+		for i := 0; i < checkpointEvery; i++ {
+			if _, err := s.Stress(ctx, id, phase); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	n := 0
+	for _, rec := range st.Replay() {
+		if !rec.Checkpoint() {
+			continue
+		}
+		n++
+		var cs chipState
+		if err := cs.decode(rec.Kind, rec.State); err != nil {
+			t.Fatalf("%s: %v", rec.ID, err)
+		}
+		if again, err := cs.encode(rec.Kind); err != nil || !bytes.Equal(again, rec.State) {
+			t.Fatalf("%s: the checkpoint re-encodes to different bytes (%v)", rec.ID, err)
+		}
+	}
+	if n != len(ids) {
+		t.Fatalf("%d checkpoints for %d chips", n, len(ids))
 	}
 }
 

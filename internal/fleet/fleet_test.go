@@ -311,6 +311,47 @@ func TestApplyBatchDeterministicPerChip(t *testing.T) {
 	}
 }
 
+// TestBatchRunsChipItemsInInputOrder: a batch runs each chip's items
+// on one worker in input order, so a measure after a stress of the same
+// chip reads the stressed die, and of two creates of one id the first
+// wins. Every reading must equal the one a fleet applying the same ops
+// one at a time gives.
+func TestBatchRunsChipItemsInInputOrder(t *testing.T) {
+	ctx := context.Background()
+	sequential := newTestService(t)
+	batched := newTestService(t, WithBatchWorkers(8))
+	for round := 0; round < 20; round++ {
+		specs := []CreateSpec{{ID: fmt.Sprintf("d%d", round), Seed: 1}}
+		var ops []OpSpec
+		for i := 0; i < 5; i++ {
+			id := fmt.Sprintf("r%d-c%d", round, i)
+			specs = append(specs, CreateSpec{ID: id, Seed: uint64(i + 1)})
+			ops = append(ops,
+				OpSpec{Op: BatchOpStress, ID: id, PhaseRequest: PhaseRequest{TempC: 110, Vdd: 1.2, Hours: 1}},
+				OpSpec{Op: BatchOpMeasure, ID: id})
+		}
+		specs = append(specs, CreateSpec{ID: specs[0].ID, Seed: 2})
+		created := batched.CreateBatch(ctx, specs)
+		if created[0].Err != nil || !errors.As(created[len(specs)-1].Err, &DuplicateError{}) {
+			t.Fatalf("round %d: first create %+v, second %+v; want the first to win", round, created[0], created[len(specs)-1])
+		}
+		for _, sp := range specs[:len(specs)-1] {
+			if _, err := sequential.Create(ctx, sp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k, res := range batched.ApplyBatch(ctx, ops) {
+			want := sequential.Apply(ctx, ops[k])
+			if res.Err != nil || want.Err != nil {
+				t.Fatalf("round %d item %d: %v / %v", round, k, res.Err, want.Err)
+			}
+			if ops[k].Op == BatchOpMeasure && *res.Reading != *want.Reading {
+				t.Fatalf("round %d: %s read %+v, want %+v, the reading after its stress", round, ops[k].ID, *res.Reading, *want.Reading)
+			}
+		}
+	}
+}
+
 func TestBatchCancellation(t *testing.T) {
 	s := newTestService(t, WithBatchWorkers(1))
 	ctx, cancel := context.WithCancel(context.Background())

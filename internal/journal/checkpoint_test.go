@@ -17,7 +17,9 @@ func ckpt(id string) Record {
 // life of the chip's earlier fleet records — create, phases, reads,
 // quarantine changes and older checkpoints — while its engine records,
 // the epoch records and other chips' records stay live, in Records,
-// in Stats and across compaction and reopen.
+// in Stats and across compaction and reopen. A delete supersedes the
+// chip's fleet records and itself, and leaves its engine twin's
+// registration to the next engine checkpoint.
 func TestCheckpointSupersedesFleetRecords(t *testing.T) {
 	dir := t.TempDir()
 	j, err := Open(dir, Options{})
@@ -65,80 +67,109 @@ func TestCheckpointSupersedesFleetRecords(t *testing.T) {
 		t.Fatalf("reopened history %q, want %q", got, want)
 	}
 	mustAppend(t, j2, Record{Op: OpDelete, ID: "c0"})
-	if got, want := ids(j2.Records()), "create:c1 engine_epoch: stress:c1"; got != want {
+	if got, want := ids(j2.Records()), "engine_reg:c0 create:c1 engine_epoch: stress:c1"; got != want {
 		t.Fatalf("history after deleting c0 %q, want %q", got, want)
 	}
-	if got := j2.Stats().Records; got != 3 {
-		t.Fatalf("Stats().Records = %d after the delete, want 3", got)
+	if got := j2.Stats().Records; got != 4 {
+		t.Fatalf("Stats().Records = %d after the delete, want 4", got)
 	}
 }
 
 // TestCompactionCrashWithCheckpoints: a hard stop at either side of
 // the snapshot rename — the new snapshot beside the untruncated log,
 // or the old snapshot with a half-written snapshot.json.tmp — reopens
-// to the same live history, with checkpoints on both sides of the
-// snapshot and the log: no superseded record comes back, and no
-// record applies twice.
+// to the same live history and record count. The histories put
+// checkpoints on both sides of the snapshot and the log, and a fleet
+// and an engine chip that leave and come back under their ids: no
+// superseded record comes back, no record applies twice, and the log's
+// older records never outrank the snapshot's newer ones.
 func TestCompactionCrashWithCheckpoints(t *testing.T) {
-	dir := t.TempDir()
-	j, err := Open(dir, Options{CompactEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustAppend(t, j, Record{Op: OpCreate, ID: "c0", Seed: 1, Kind: "bench"})
-	mustAppend(t, j, Record{Op: OpStress, ID: "c0", Hours: 1})
-	mustAppend(t, j, ckpt("c0"))
-	mustAppend(t, j, Record{Op: OpStress, ID: "c0", Hours: 2})
-	if err := j.Compact(); err != nil { // the old snapshot: checkpoint A and its tail
-		t.Fatal(err)
-	}
-	mustAppend(t, j, Record{Op: OpStress, ID: "c0", Hours: 3})
-	mustAppend(t, j, Record{Op: OpCreate, ID: "c1", Seed: 2})
-	mustAppend(t, j, ckpt("c0")) // checkpoint B, in the log
-	mustAppend(t, j, Record{Op: OpStress, ID: "c0", Hours: 4})
-	want := ids(j.Records())
-	read := func(name string) []byte {
-		b, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	oldSnap, log := read(snapshotName), read(logName)
-	if err := j.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	newSnap := read(snapshotName)
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for name, files := range map[string][3][]byte{
-		"after rename":  {newSnap, log, nil},
-		"before rename": {oldSnap, log, newSnap[:len(newSnap)/2]},
-	} {
-		for i, f := range []string{snapshotName, logName, snapshotName + ".tmp"} {
-			if files[i] == nil {
-				os.Remove(filepath.Join(dir, f))
-				continue
-			}
-			if err := os.WriteFile(filepath.Join(dir, f), files[i], 0o644); err != nil {
+	for _, tc := range []struct {
+		name    string
+		history func(t *testing.T, j *Journal)
+	}{
+		{"checkpoints on both sides", func(t *testing.T, j *Journal) {
+			mustAppend(t, j, Record{Op: OpCreate, ID: "c0", Seed: 1, Kind: "bench"})
+			mustAppend(t, j, Record{Op: OpStress, ID: "c0", Hours: 1})
+			mustAppend(t, j, ckpt("c0"))
+			mustAppend(t, j, Record{Op: OpStress, ID: "c0", Hours: 2})
+			if err := j.Compact(); err != nil { // the old snapshot: checkpoint A and its tail
 				t.Fatal(err)
 			}
-		}
-		j, err := Open(dir, Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		recs := j.Records()
-		if got := ids(recs); got != want {
-			t.Fatalf("%s: history %q, want %q", name, got, want)
-		}
-		if st := j.Stats(); st.Records != len(recs) || st.LastSeq != 8 {
-			t.Fatalf("%s: Stats = %+v, want %d records up to seq 8", name, st, len(recs))
-		}
-		if err := j.Close(); err != nil {
-			t.Fatal(err)
-		}
+			mustAppend(t, j, Record{Op: OpStress, ID: "c0", Hours: 3})
+			mustAppend(t, j, Record{Op: OpCreate, ID: "c1", Seed: 2})
+			mustAppend(t, j, ckpt("c0")) // checkpoint B, in the log
+			mustAppend(t, j, Record{Op: OpStress, ID: "c0", Hours: 4})
+		}},
+		{"fleet chip created again", func(t *testing.T, j *Journal) {
+			mustAppend(t, j, Record{Op: OpCreate, ID: "c0", Seed: 1, Kind: "bench"})
+			mustAppend(t, j, Record{Op: OpStress, ID: "c0", Hours: 1})
+			mustAppend(t, j, Record{Op: OpDelete, ID: "c0"})
+			mustAppend(t, j, Record{Op: OpCreate, ID: "c0", Seed: 2, Kind: "bench"})
+			mustAppend(t, j, Record{Op: OpStress, ID: "c0", Hours: 2})
+		}},
+		{"engine chip registered again", func(t *testing.T, j *Journal) {
+			mustAppend(t, j, Record{Op: OpEngineReg, ID: "e0", TempC: 80})
+			mustAppend(t, j, Record{Op: OpEngineRemove, ID: "e0"})
+			mustAppend(t, j, Record{Op: OpEngineReg, ID: "e0", TempC: 90})
+			mustAppend(t, j, Record{Op: OpEngineEpoch, Epochs: 4, Hours: 0.5})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			j, err := Open(dir, Options{CompactEvery: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			read := func(name string) []byte {
+				b, err := os.ReadFile(filepath.Join(dir, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return b
+			}
+			tc.history(t, j)
+			want, st := ids(j.Records()), j.Stats()
+			oldSnap, log := read(snapshotName), read(logName)
+			if err := j.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			newSnap := read(snapshotName)
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for _, crash := range []struct {
+				name  string
+				files [3][]byte // snapshot, log, snapshot.json.tmp; nil: absent
+			}{
+				{"new snapshot beside the untruncated log", [3][]byte{newSnap, log, nil}},
+				{"old snapshot beside a half-written tmp", [3][]byte{oldSnap, log, newSnap[:len(newSnap)/2]}},
+			} {
+				for i, f := range []string{snapshotName, logName, snapshotName + ".tmp"} {
+					if crash.files[i] == nil {
+						os.Remove(filepath.Join(dir, f))
+						continue
+					}
+					if err := os.WriteFile(filepath.Join(dir, f), crash.files[i], 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				j, err := Open(dir, Options{})
+				if err != nil {
+					t.Fatalf("%s: %v", crash.name, err)
+				}
+				recs := j.Records()
+				if got := ids(recs); got != want {
+					t.Fatalf("%s: history %q, want %q", crash.name, got, want)
+				}
+				if got := j.Stats(); got.Records != st.Records || len(recs) != st.Records || got.LastSeq != st.LastSeq {
+					t.Fatalf("%s: Stats = %+v, want %d records up to seq %d", crash.name, got, st.Records, st.LastSeq)
+				}
+				if err := j.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -51,10 +51,11 @@ func TestEngineRecordRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEngineRemovePrunesChipHistory checks that removing an
-// engine-native chip prunes its records like a fleet delete does —
-// while the global epoch records, which carry no chip ID, survive both
-// kinds of removal.
+// TestEngineRemovePrunesChipHistory checks that an engine-native
+// chip's removal is a plain engine record: the chip's history stays
+// live beside the epoch records until the next engine checkpoint
+// supersedes all of it, while a fleet delete supersedes its own chip's
+// records at once.
 func TestEngineRemovePrunesChipHistory(t *testing.T) {
 	dir := t.TempDir()
 	j, err := Open(dir, Options{})
@@ -70,8 +71,14 @@ func TestEngineRemovePrunesChipHistory(t *testing.T) {
 	mustAppend(t, j, Record{Op: OpEngineRemove, ID: "e0"})
 	mustAppend(t, j, Record{Op: OpDelete, ID: "c0"})
 
-	if got, want := ids(j.Records()), "engine_epoch:"; got != want {
+	if got, want := ids(j.Records()), "engine_reg:e0 engine_epoch: engine_set:e0 engine_remove:e0"; got != want {
 		t.Fatalf("after removals replay = %q, want %q", got, want)
+	}
+	if err := j.AppendBatch(context.Background(), []Record{chunk(1, true)}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ids(j.Records()), "engine_checkpoint:"; got != want {
+		t.Fatalf("after an engine checkpoint replay = %q, want %q", got, want)
 	}
 }
 
@@ -99,9 +106,10 @@ func chunk(b byte, final bool) Record {
 // TestEngineCheckpointSupersedesEngineRecordsOnly: a durable engine
 // checkpoint drops every engine record before its group — chip
 // records, epoch records, a removal and the older group — and never a
-// fleet record, a fleet checkpoint or a fleet chip's checkpoint mark;
-// an engine removal after it stays live, since the chip may be in the
-// checkpoint, and all of it survives compaction and reopen.
+// fleet record, a fleet checkpoint or a fleet chip's mark; the engine
+// records after it, a removal and the removed chip's condition change
+// included, stay live until the next group, and all of it survives
+// compaction and reopen.
 func TestEngineCheckpointSupersedesEngineRecordsOnly(t *testing.T) {
 	dir := t.TempDir()
 	j, err := Open(dir, Options{CompactEvery: -1})
@@ -122,13 +130,13 @@ func TestEngineCheckpointSupersedesEngineRecordsOnly(t *testing.T) {
 	mustAppend(t, j, Record{Op: OpEngineSet, ID: "e0", TempC: 90})
 	mustAppend(t, j, Record{Op: OpEngineRemove, ID: "e0"})
 	mustAppend(t, j, Record{Op: OpEngineEpoch, Epochs: 3, Hours: 0.5})
-	want := "stress:c0 stress:c0 engine_checkpoint: engine_checkpoint: engine_remove:e0 engine_epoch:"
+	want := "stress:c0 stress:c0 engine_checkpoint: engine_checkpoint: engine_set:e0 engine_remove:e0 engine_epoch:"
 	if got := ids(j.Records()); got != want {
 		t.Fatalf("live history %q, want %q", got, want)
 	}
 	mustAppend(t, j, ckpt("c0")) // the chip's fleet mark still supersedes
-	want = "engine_checkpoint: engine_checkpoint: engine_remove:e0 engine_epoch: stress:c0"
-	if got, n := ids(j.Records()), j.Stats().Records; got != want || n != 5 {
+	want = "engine_checkpoint: engine_checkpoint: engine_set:e0 engine_remove:e0 engine_epoch: stress:c0"
+	if got, n := ids(j.Records()), j.Stats().Records; got != want || n != 6 {
 		t.Fatalf("history %q (%d records), want %q", got, n, want)
 	}
 	if err := j.AppendBatch(context.Background(), []Record{chunk(3, false), chunk(4, true)}); err != nil {

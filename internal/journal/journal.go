@@ -7,28 +7,33 @@
 // reads, which perturb the die) and replay re-runs them on startup.
 //
 // Re-running a chip's whole history makes recovery grow with uptime,
-// so the fleet also checkpoints: every so often a chip's stress or
-// rejuvenate record carries the chip's full state after the phase
-// (Record.State, the chip-state codec of the root package). Replay
-// restores a checkpoint instead of re-running what led to it, and once
-// a checkpoint is durable the chip's earlier fleet records stop being
-// live: Records, compaction, a replica's resync and a promotion all
-// see the newest checkpoint plus the records after it. The chip's
-// engine records and the ID-less epoch records are not superseded.
+// so both subsystems checkpoint, and the journal keeps its live history
+// by one rule, applied in commit order. Every record has a supersede
+// key: a fleet chip's id for the chip's fleet records, and the engine
+// for every engine record. Each key has a mark, and a record whose seq
+// is below its key's mark is superseded: Records, compaction, a
+// replica's resync and a promotion never see it again. A mark only
+// moves forward, at three records:
 //
-// The aging engine checkpoints as a whole: a group of ID-less
-// OpEngineCheckpoint records, committed in one batch, whose chunks
-// (Record.State) join into the engine's encoded state and whose last
-// is marked Final. Once the final chunk is durable the group
-// supersedes every engine record before it — registrations, removals,
-// condition and schedule changes, epoch records and the previous
-// group — which are released from memory at once, and a compaction is
-// requested so the log holds at most one superseded group. Fleet
-// records and fleet checkpoints are untouched. An engine removal after
-// a group stays live until the next group, whatever later delete names
-// its id: the removed chip is in the checkpoint. A group whose final
-// chunk never became durable (a crash mid-write, or a replica's stream
-// cut between frames) is dropped at open.
+//   - a fleet checkpoint, a stress or rejuvenate record carrying the
+//     chip's full state after the phase (Record.State, the chip-state
+//     codec of the root package), moves the chip's mark to itself;
+//   - a fleet delete moves the chip's mark past itself, so the delete
+//     supersedes itself too and a chip created again under the id
+//     starts a new history;
+//   - the final chunk of an engine checkpoint moves the engine's mark
+//     to the group's first chunk. A group is a run of ID-less
+//     OpEngineCheckpoint records, committed in one batch, whose chunks
+//     (Record.State) join into the engine's encoded state. A group
+//     whose final chunk never became durable (a crash mid-write, or a
+//     replica's stream cut between frames) is dropped at open.
+//
+// So engine records, an engine removal or a fleet twin's registration
+// included, fall only to an engine checkpoint, and a fleet delete never
+// reaches them. A fleet chip's superseded records stay in memory until
+// the next compaction or Records call; the engine's leave at once, and
+// a compaction is requested so the log holds at most one superseded
+// group.
 //
 // The on-disk layout is two files in the data directory:
 //
@@ -54,12 +59,13 @@
 // acknowledged operation survives a hard stop. A truncated final
 // record (torn write at crash) is tolerated on open: replay stops at
 // the last complete record and the tail is trimmed. Records carry
-// sequence numbers so a crash between writing a snapshot and
-// truncating the log never double-applies an operation.
+// sequence numbers: Open reads the snapshot and the log as one history
+// in sequence order, taking a repeated seq once, so a crash between
+// writing a snapshot and truncating the log neither double-applies an
+// operation nor lets a stale record outrank a newer one.
 //
-// Compaction drops what can never matter again — the history of
-// deleted chips and records a checkpoint superseded — and folds the
-// log into the snapshot. It runs on open and — off the append hot
+// Compaction drops the superseded records and folds the log into the
+// snapshot. It runs on open and — off the append hot
 // path — in a supervised background goroutine after every
 // CompactEvery durable appends. The data directory itself is fsync'd
 // after the snapshot rename and on log creation, so the rename
@@ -69,6 +75,7 @@ package journal
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -77,6 +84,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -104,8 +112,8 @@ const (
 // part of a chip's durable lifecycle — a quarantined chip must refuse
 // mutations across a crash until the guard releases it — so the
 // transitions are journaled like any other fleet op. They are not reads
-// (pruneTrailingReads must keep them) and compaction folds them like
-// ordinary per-chip records: a delete prunes them with the chip.
+// (pruneTrailingReads must keep them) and they are ordinary fleet
+// records of the chip: its checkpoint or delete supersedes them.
 const (
 	OpQuarantine Op = "quarantine"
 	OpRelease    Op = "release"
@@ -120,13 +128,14 @@ const (
 // operations before it.
 //
 // OpEngineEpoch and OpEngineCheckpoint are the global (ID-less) record
-// kinds in the log: they apply to the whole engine, so chip-level
-// pruning never touches them. The engine coalesces epochs *before*
-// committing (one record carries an Epochs count); the journal must
-// never merge adjacent epoch records itself — a merged record would
-// keep only one of the original sequence numbers, and the seq-set
-// overlap check in Open would then re-absorb the others from a stale
-// log after a crash, double-aging the fleet.
+// kinds in the log: they apply to the whole engine. Every engine
+// record, chip-level or global, has the engine as its supersede key.
+// The engine coalesces epochs *before* committing (one record carries
+// an Epochs count); the journal must never merge adjacent epoch
+// records itself — a merged record would keep only one of the original
+// sequence numbers, and Open, which takes a repeated seq once, would
+// then re-absorb the others from a stale log after a crash,
+// double-aging the fleet.
 const (
 	OpEngineReg        Op = "engine_reg"        // chip joins the engine
 	OpEngineRemove     Op = "engine_remove"     // engine-native chip leaves
@@ -258,10 +267,24 @@ type RepairReport struct {
 	DroppedSeqs    []uint64 // seqs of still-parseable records past the corruption
 }
 
-// chipMark is one fleet chip's checkpoint bookkeeping.
-type chipMark struct {
-	ckpt uint64 // seq of the chip's newest checkpoint; 0 if none
-	live int    // the chip's fleet records in recs no checkpoint supersedes
+// mark is one supersede key's state: the key's records with a seq
+// below seq are superseded, and live counts the key's records in recs
+// that are not.
+type mark struct {
+	seq  uint64
+	live int
+}
+
+// engineKey is the supersede key of every engine record. A fleet
+// record's key is its chip's id, which is never empty.
+const engineKey = ""
+
+// supersedeKey returns rec's supersede key (see the package doc).
+func supersedeKey(rec *Record) string {
+	if IsEngineOp(rec.Op) {
+		return engineKey
+	}
+	return rec.ID
 }
 
 // pendingAppend is one staged record awaiting its group fsync.
@@ -291,21 +314,19 @@ type Journal struct {
 	lastSeq    uint64   // newest assigned sequence number (staged included)
 	durableSeq uint64   // newest fsync'd sequence number
 
-	// chips marks each fleet chip's newest checkpoint, so absorbing
-	// one supersedes the chip's earlier records in O(1). recs keeps
-	// the superseded records, stale of them, until the next compaction
-	// or Records call drops them.
-	chips map[string]chipMark
+	// marks holds each supersede key's mark, so a record supersedes
+	// its key's earlier records in O(1). recs keeps superseded records,
+	// stale of them, until dropSuperseded.
+	marks map[string]mark
 	stale int
 
-	// engCkpt is the seq of the first chunk of the newest engine
-	// checkpoint whose final chunk is durable (0: none); every engine
-	// record before it is superseded and gone from recs. engOpen is
-	// the first chunk's seq of a group still waiting for its final
-	// chunk (0: none). compactDue asks the supervisor to fold the log
+	// engOpen is the first chunk's seq of an engine checkpoint group
+	// still waiting for its final chunk (0: none), and engBefore the
+	// engine's live record count before that chunk: the records the
+	// group supersedes. compactDue asks the supervisor to fold the log
 	// after an engine checkpoint.
-	engCkpt    uint64
 	engOpen    uint64
+	engBefore  int
 	compactDue bool
 
 	// onCommit, when set, observes every durably committed batch in
@@ -354,7 +375,7 @@ func Open(dir string, opts Options) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	j := &Journal{dir: dir, opts: opts, chips: make(map[string]chipMark)}
+	j := &Journal{dir: dir, opts: opts, marks: make(map[string]mark)}
 
 	snap, err := j.readOrSalvage(filepath.Join(dir, snapshotName), false)
 	if err != nil {
@@ -364,18 +385,15 @@ func Open(dir string, opts Options) (*Journal, error) {
 	if err != nil {
 		return nil, err
 	}
-	snapSeqs := make(map[uint64]struct{}, len(snap))
-	for _, rec := range snap {
-		snapSeqs[rec.Seq] = struct{}{}
-		j.absorb(rec)
-	}
-	for _, rec := range logRecs {
-		// Skip log records already folded into the snapshot (a crash
-		// between snapshot rename and log truncation leaves overlap).
-		if _, folded := snapSeqs[rec.Seq]; folded {
-			continue
+	// One history in commit order: a crash between a compaction's
+	// snapshot rename and its log truncation leaves records in both
+	// files, and the log's older ones may sit below the snapshot's.
+	hist := append(snap, logRecs...)
+	slices.SortStableFunc(hist, func(a, b Record) int { return cmp.Compare(a.Seq, b.Seq) })
+	for i := range hist {
+		if i == 0 || hist[i].Seq != hist[i-1].Seq {
+			j.absorb(hist[i])
 		}
-		j.absorb(rec)
 	}
 	j.dropOpenCheckpoint()
 
@@ -436,157 +454,104 @@ func (j *Journal) pruneTrailingReads() {
 			kept = append(kept, r)
 			continue
 		}
-		m := j.chips[r.ID]
+		m := j.marks[r.ID]
 		m.live--
-		j.chips[r.ID] = m
+		j.marks[r.ID] = m
 	}
+	clear(j.recs[len(kept):])
 	j.recs = kept
 }
 
-// absorb applies one record to the in-memory live history: deletes
-// (and engine removals — an engine-native chip's records are all
-// engine records) prune every earlier record for that chip, since
-// their replay could never be observed again, except an engine removal
-// after an engine checkpoint, which stays until the next checkpoint
-// supersedes it (the removed chip is in the checkpoint); a chip checkpoint
-// supersedes the chip's earlier fleet records, which recs keeps until
-// dropSuperseded; an engine checkpoint's final chunk drops every
-// engine record before its group (see absorbEngineCheckpoint);
-// everything else accumulates. Epoch and engine checkpoint records
-// carry no ID, so chip pruning never touches them.
+// absorb adds one durable record to the live history. Records arrive
+// in commit order, so a record never falls below its key's mark when
+// absorbed; it can only move its key's mark, by the rule in the package
+// doc, superseding the key's earlier records. The engine's superseded
+// records leave recs at once.
 func (j *Journal) absorb(rec Record) {
 	if rec.Seq > j.lastSeq {
 		j.lastSeq = rec.Seq
 	}
-	if IsEngineOp(rec.Op) && rec.Seq < j.engCkpt {
-		// A log record re-read under a snapshot that already holds a
-		// newer engine checkpoint.
-		return
-	}
-	if rec.Op == OpEngineCheckpoint {
-		j.absorbEngineCheckpoint(rec)
-		return
-	}
-	// A group's chunks are contiguous, so any other record ends a
-	// group that never got its final chunk.
-	j.dropOpenCheckpoint()
-	if (rec.Op == OpDelete || rec.Op == OpEngineRemove) && rec.ID != "" {
-		kept := j.recs[:0]
-		for _, r := range j.recs {
-			switch {
-			case r.ID != rec.ID:
-				kept = append(kept, r)
-			case r.Op == OpEngineRemove && rec.Op == OpDelete:
-				// An engine chip's removal over the engine checkpoint
-				// that holds it; a fleet chip later created and deleted
-				// under its id does not bring the engine chip back.
-				kept = append(kept, r)
-			case j.superseded(&r):
-				j.stale--
-			}
-		}
-		clear(j.recs[len(kept):])
-		j.recs = kept
-		delete(j.chips, rec.ID)
-		if rec.Op == OpEngineRemove && j.engCkpt != 0 {
-			// The chip may be in the engine checkpoint, which no
-			// pruning reaches: the removal stays live until the next
-			// checkpoint supersedes it.
-			j.recs = append(j.recs, rec)
-		}
-		return
+	key := supersedeKey(&rec)
+	if rec.Op != OpEngineCheckpoint {
+		// A group's chunks are contiguous, so any other record ends a
+		// group that never got its final chunk.
+		j.dropOpenCheckpoint()
+	} else if j.engOpen == 0 {
+		j.engOpen, j.engBefore = rec.Seq, j.marks[key].live
 	}
 	j.recs = append(j.recs, rec)
-	if !isFleetChipRecord(&rec) {
-		return
-	}
-	m := j.chips[rec.ID]
-	switch {
-	case rec.Seq < m.ckpt:
-		// A log record re-read under a snapshot that already holds a
-		// newer checkpoint (a crash between the snapshot's rename and
-		// the log's truncation).
-		j.stale++
-		return
-	case rec.Checkpoint():
-		j.stale += m.live
-		m = chipMark{ckpt: rec.Seq}
-	}
+	m := j.marks[key]
 	m.live++
-	j.chips[rec.ID] = m
+	engineCkpt := rec.Op == OpEngineCheckpoint && rec.Final
+	switch {
+	case rec.Checkpoint():
+		m = j.supersede(m, rec.Seq, m.live-1)
+	case rec.Op == OpDelete:
+		m = j.supersede(m, rec.Seq+1, m.live)
+	case engineCkpt:
+		m = j.supersede(m, j.engOpen, j.engBefore)
+		j.engOpen = 0
+	}
+	j.marks[key] = m
+	if engineCkpt {
+		j.dropSuperseded()
+		if cap(j.recs) > 4*len(j.recs)+1024 {
+			// The superseded records were most of the history (an
+			// engine's registrations): let go of the array they filled.
+			j.recs = append(make([]Record, 0, 2*len(j.recs)), j.recs...)
+		}
+		j.compactDue = true
+	}
 }
 
-// absorbEngineCheckpoint adds one chunk of an engine checkpoint. The
-// final chunk completes the group: every engine record before the
-// group's first chunk, the previous group included, leaves recs now,
-// and a compaction is requested so the log lets go of them too.
-func (j *Journal) absorbEngineCheckpoint(rec Record) {
-	if j.engOpen == 0 {
-		j.engOpen = rec.Seq
-	}
-	j.recs = append(j.recs, rec)
-	if !rec.Final {
-		return
-	}
-	j.engCkpt, j.engOpen = j.engOpen, 0
-	kept := j.recs[:0]
-	for _, r := range j.recs {
-		if !IsEngineOp(r.Op) || r.Seq >= j.engCkpt {
-			kept = append(kept, r)
-		}
-	}
-	clear(j.recs[len(kept):])
-	j.recs = kept
-	if cap(j.recs) > 4*len(j.recs)+1024 {
-		// The superseded records were most of the history (an engine's
-		// registrations): let go of the array they filled.
-		j.recs = append(make([]Record, 0, 2*len(j.recs)), j.recs...)
-	}
-	j.compactDue = true
+// supersede moves m to seq, superseding the n of its key's live records
+// that sit below seq.
+func (j *Journal) supersede(m mark, seq uint64, n int) mark {
+	j.stale += n
+	return mark{seq: seq, live: m.live - n}
 }
 
 // dropOpenCheckpoint discards the chunks of an engine checkpoint group
-// whose final chunk has not arrived: a torn group never restores.
+// whose final chunk has not arrived, the tail of recs: a torn group
+// never restores.
 func (j *Journal) dropOpenCheckpoint() {
 	if j.engOpen == 0 {
 		return
 	}
-	kept := j.recs[:0]
-	for _, r := range j.recs {
-		if r.Op != OpEngineCheckpoint || r.Seq < j.engOpen {
-			kept = append(kept, r)
-		}
+	n := len(j.recs)
+	for n > 0 && j.recs[n-1].Seq >= j.engOpen {
+		n--
 	}
-	clear(j.recs[len(kept):])
-	j.recs = kept
+	m := j.marks[engineKey]
+	m.live -= len(j.recs) - n
+	j.marks[engineKey] = m
+	clear(j.recs[n:])
+	j.recs = j.recs[:n]
 	j.engOpen = 0
 }
 
-// isFleetChipRecord reports whether rec is one of a fleet chip's own
-// records, which a checkpoint of the chip can supersede.
-func isFleetChipRecord(rec *Record) bool { return rec.ID != "" && !IsEngineOp(rec.Op) }
-
-// superseded reports whether a checkpoint newer than rec supersedes it.
-func (j *Journal) superseded(rec *Record) bool {
-	return isFleetChipRecord(rec) && rec.Seq < j.chips[rec.ID].ckpt
-}
-
-// dropSuperseded removes the records a checkpoint superseded from
-// recs. It costs one pass over the history, so it runs where one is
-// paid anyway: compaction and Records.
+// dropSuperseded removes the superseded records from recs, and the
+// marks no live record needs. It costs one pass over the history, so
+// it runs where one is paid anyway: compaction, Records and an engine
+// checkpoint.
 func (j *Journal) dropSuperseded() {
 	if j.stale == 0 {
 		return
 	}
 	kept := j.recs[:0]
 	for i := range j.recs {
-		if !j.superseded(&j.recs[i]) {
+		if j.recs[i].Seq >= j.marks[supersedeKey(&j.recs[i])].seq {
 			kept = append(kept, j.recs[i])
 		}
 	}
 	clear(j.recs[len(kept):])
 	j.recs = kept
 	j.stale = 0
+	for key, m := range j.marks {
+		if m.live == 0 {
+			delete(j.marks, key)
+		}
+	}
 }
 
 // lineEncoder renders on-disk lines — JSON payload, tab, CRC32 of the
@@ -954,7 +919,7 @@ func (j *Journal) AppendReplica(ctx context.Context, recs []Record) error {
 // recs — the replication follower's snapshot-resync path. The records
 // must already carry the primary's sequence numbers; lastSeq is the
 // primary's durable sequence cursor, which can sit past the highest
-// record (deletes prune their chip's history *and* themselves), so the
+// record (a delete supersedes its chip's history *and* itself), so the
 // replica's numbering keeps tracking the primary's. The new history is
 // compacted to disk before returning, so a crash right after ResetTo
 // replays exactly recs. It refuses while appends are staged or a commit
@@ -968,8 +933,8 @@ func (j *Journal) ResetTo(recs []Record, lastSeq uint64) error {
 	if len(j.pending) > 0 || j.committing {
 		return errors.New("journal: reset: appends in flight")
 	}
-	j.recs, j.chips, j.stale = nil, make(map[string]chipMark), 0
-	j.engCkpt, j.engOpen = 0, 0
+	j.recs, j.marks, j.stale = nil, make(map[string]mark), 0
+	j.engOpen = 0
 	j.lastSeq = lastSeq
 	for _, rec := range recs {
 		j.absorb(rec)

@@ -224,7 +224,7 @@ func (f *Follower) session() error {
 				return fmt.Errorf("%w: snapdone outside snapshot", ErrBadMessage)
 			}
 			// done.LastSeq can sit past the snapshot's highest record
-			// (deletes prune their chip's records *and* themselves);
+			// (a delete supersedes its chip's fleet records *and* itself);
 			// adopting it keeps this journal's numbering tracking the
 			// primary's, and stops a trailing-delete snapshot from
 			// flagging the next tail record as a gap.

@@ -266,8 +266,14 @@ func TestDroppedFrameForcesResync(t *testing.T) {
 		}
 	}
 	waitConverged(t, p, f)
-	if st := f.ReplStats(); st.Gaps == 0 || st.Snapshots < 2 {
-		t.Fatalf("expected a gap-driven resync: %+v", st)
+	// The follower counts the resync's snapshot after its ResetTo, so
+	// convergence can be seen before the count.
+	deadline := time.Now().Add(10 * time.Second)
+	for st := f.ReplStats(); st.Gaps == 0 || st.Snapshots < 2; st = f.ReplStats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("expected a gap-driven resync: %+v", st)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 	if st := p.ReplStats(); st.DroppedFrames == 0 {
 		t.Fatalf("drop hook never fired: %+v", st)

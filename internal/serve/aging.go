@@ -249,9 +249,9 @@ func (s *Server) engineObserveCreates(r *http.Request, ids ...string) {
 
 // engineObserveDelete drops a fleet chip's engine twin after the
 // fleet delete committed, or failed as store.ErrIndeterminate. No
-// engine record is written: the delete record prunes the chip's engine
-// journal history, and a twin an engine checkpoint holds comes back on
-// replay and is dropped by SyncFleet at boot.
+// engine record is written: the twin's engine records stay live until
+// the next engine checkpoint, so a restart before it replays the twin,
+// and SyncFleet drops it at boot.
 func (s *Server) engineObserveDelete(r *http.Request, id string) {
 	if s.aging == nil {
 		return

@@ -4,8 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
+	"selfheal/internal/codec"
 	"selfheal/internal/device"
 	"selfheal/internal/odometer"
 	"selfheal/internal/ro"
@@ -117,10 +117,10 @@ func (s *ChipState) MarshalBinary() ([]byte, error) {
 	out = appendEngine(out, &s.engine)
 	out = appendRO(out, s.ro)
 	out = append(out, byte(s.psu.Rail))
-	out = appendF64(out, float64(s.psu.V))
-	out = appendF64(out, float64(s.chamber.Setpoint))
-	out = appendF64(out, float64(s.chamber.Current))
-	return binary.LittleEndian.AppendUint64(out, s.chamber.Src), nil
+	out = codec.AppendF64(out, float64(s.psu.V))
+	out = codec.AppendF64(out, float64(s.chamber.Setpoint))
+	out = codec.AppendF64(out, float64(s.chamber.Current))
+	return codec.AppendU64(out, s.chamber.Src), nil
 }
 
 // UnmarshalBinary decodes a state MarshalBinary encoded. It refuses
@@ -128,16 +128,16 @@ func (s *ChipState) MarshalBinary() ([]byte, error) {
 // not fit, a class index past the class count, a class size that does
 // not count its members, trailing bytes — with an error.
 func (s *ChipState) UnmarshalBinary(data []byte) error {
-	r := reader{b: data}
+	r := newReader(data)
 	r.header(kindBench)
 	r.fabric(&s.fabric)
 	r.engine(&s.engine)
 	s.ro = r.ro()
-	s.psu = supply.PSUState{Rail: supply.Rail(r.u8()), V: units.Volt(r.f64())}
+	s.psu = supply.PSUState{Rail: supply.Rail(r.U8()), V: units.Volt(r.F64())}
 	s.chamber = thermal.ChamberState{
-		Setpoint: units.Celsius(r.f64()), Current: units.Celsius(r.f64()), Src: r.u64(),
+		Setpoint: units.Celsius(r.F64()), Current: units.Celsius(r.F64()), Src: r.U64(),
 	}
-	return r.done()
+	return r.Done()
 }
 
 // MarshalBinary encodes the state.
@@ -145,7 +145,7 @@ func (s *MonitoredChipState) MarshalBinary() ([]byte, error) {
 	out := appendHeader(nil, kindMonitored)
 	out = appendFabric(out, &s.fabric)
 	out = appendEngine(out, &s.engine)
-	out = binary.LittleEndian.AppendUint64(out, s.sensor.Src)
+	out = codec.AppendU64(out, s.sensor.Src)
 	out = appendRO(out, s.sensor.Stressed)
 	return appendRO(out, s.sensor.Reference), nil
 }
@@ -153,19 +153,15 @@ func (s *MonitoredChipState) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary decodes a state MarshalBinary encoded, refusing
 // malformed input as ChipState.UnmarshalBinary does.
 func (s *MonitoredChipState) UnmarshalBinary(data []byte) error {
-	r := reader{b: data}
+	r := newReader(data)
 	r.header(kindMonitored)
 	r.fabric(&s.fabric)
 	r.engine(&s.engine)
-	s.sensor = odometer.State{Src: r.u64(), Stressed: r.ro(), Reference: r.ro()}
-	return r.done()
+	s.sensor = odometer.State{Src: r.U64(), Stressed: r.ro(), Reference: r.ro()}
+	return r.Done()
 }
 
 func appendHeader(b []byte, kind byte) []byte { return append(b, stateVersion, kind) }
-
-func appendF64(b []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-}
 
 // indexWidth is the byte width of a class index for k classes.
 func indexWidth(k int) int {
@@ -179,9 +175,8 @@ func indexWidth(k int) int {
 }
 
 func appendFabric(b []byte, f *device.FabricState) []byte {
-	le := binary.LittleEndian
-	b = le.AppendUint32(b, uint32(len(f.Class)))
-	b = le.AppendUint32(b, uint32(len(f.States)))
+	b = codec.AppendU32(b, uint32(len(f.Class)))
+	b = codec.AppendU32(b, uint32(len(f.States)))
 	switch indexWidth(len(f.States)) {
 	case 1:
 		for _, c := range f.Class {
@@ -189,141 +184,65 @@ func appendFabric(b []byte, f *device.FabricState) []byte {
 		}
 	case 2:
 		for _, c := range f.Class {
-			b = le.AppendUint16(b, uint16(c))
+			b = binary.LittleEndian.AppendUint16(b, uint16(c))
 		}
 	default:
 		for _, c := range f.Class {
-			b = le.AppendUint32(b, c)
+			b = codec.AppendU32(b, c)
 		}
 	}
 	for _, n := range f.Size {
-		b = le.AppendUint32(b, uint32(n))
+		b = codec.AppendU32(b, uint32(n))
 	}
 	for i := range f.States {
 		for _, w := range f.States[i].Words() {
-			b = le.AppendUint64(b, w)
+			b = codec.AppendU64(b, w)
 		}
 	}
 	return b
 }
 
 func appendEngine(b []byte, e *stress.EngineState) []byte {
-	b = appendF64(b, float64(e.Elapsed))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(e.Modes)))
+	b = codec.AppendF64(b, float64(e.Elapsed))
+	b = codec.AppendU32(b, uint32(len(e.Modes)))
 	for _, m := range e.Modes {
-		b = append(b, flags(m.AC, m.FrozenIn0))
+		b = append(b, codec.Flags(m.AC, m.FrozenIn0))
 	}
 	return b
 }
 
 func appendRO(b []byte, s ro.State) []byte {
-	b = binary.LittleEndian.AppendUint64(b, s.Src)
-	return append(b, flags(s.Enabled, s.Frozen))
+	b = codec.AppendU64(b, s.Src)
+	return append(b, codec.Flags(s.Enabled, s.Frozen))
 }
 
-func flags(bit0, bit1 bool) byte {
-	var f byte
-	if bit0 {
-		f |= 1
-	}
-	if bit1 {
-		f |= 2
-	}
-	return f
-}
+// reader decodes the byte encoding: the shared reader, plus the
+// state's own parts.
+type reader struct{ *codec.Reader }
 
-// reader decodes the byte encoding. The first error sticks: later
-// reads return zeros, and done reports it.
-type reader struct {
-	b   []byte
-	err error
-}
-
-func (r *reader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("selfheal: chip state: "+format, args...)
-	}
-}
-
-// take returns the next n bytes, or nil once the input has run out.
-func (r *reader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || n > len(r.b) {
-		r.fail("truncated: want %d more bytes, have %d", n, len(r.b))
-		return nil
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out
-}
-
-func (r *reader) u8() byte {
-	if b := r.take(1); b != nil {
-		return b[0]
-	}
-	return 0
-}
-
-func (r *reader) u32() uint32 {
-	if b := r.take(4); b != nil {
-		return binary.LittleEndian.Uint32(b)
-	}
-	return 0
-}
-
-func (r *reader) u64() uint64 {
-	if b := r.take(8); b != nil {
-		return binary.LittleEndian.Uint64(b)
-	}
-	return 0
-}
-
-func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-// count reads a u32 length whose items take at least size bytes each,
-// refusing one the remaining input cannot hold before anything is
-// allocated for it.
-func (r *reader) count(what string, size int) int {
-	n := int(r.u32())
-	if r.err == nil && n > len(r.b)/size {
-		r.fail("%d %s do not fit in %d bytes", n, what, len(r.b))
-		return 0
-	}
-	return n
-}
-
-// flags reads a mode byte with two defined bits.
-func (r *reader) flags() (bit0, bit1 bool) {
-	f := r.u8()
-	if f > 3 {
-		r.fail("mode byte %#x has undefined bits", f)
-	}
-	return f&1 != 0, f&2 != 0
-}
+func newReader(data []byte) reader { return reader{codec.NewReader(data, "selfheal: chip state")} }
 
 func (r *reader) header(kind byte) {
-	if v := r.u8(); r.err == nil && v != stateVersion {
-		r.fail("unknown version %d (want %d)", v, stateVersion)
+	if v := r.U8(); r.Err() == nil && v != stateVersion {
+		r.Fail("unknown version %d (want %d)", v, stateVersion)
 	}
-	if k := r.u8(); r.err == nil && k != kind {
-		r.fail("kind %d, want %d", k, kind)
+	if k := r.U8(); r.Err() == nil && k != kind {
+		r.Fail("kind %d, want %d", k, kind)
 	}
 }
 
 func (r *reader) fabric(f *device.FabricState) {
-	n := r.count("transistors", 1)
-	k := int(r.u32())
-	if r.err != nil {
+	n := r.Count("transistors", 1)
+	k := int(r.U32())
+	if r.Err() != nil {
 		return
 	}
 	w := indexWidth(k)
-	idx := r.take(n * w)
-	if r.err == nil && k > len(r.b)/(4+8*td.StateWords) {
-		r.fail("%d classes do not fit in %d bytes", k, len(r.b))
+	idx := r.Take(n * w)
+	if r.Err() == nil && k > r.Len()/(4+8*td.StateWords) {
+		r.Fail("%d classes do not fit in %d bytes", k, r.Len())
 	}
-	if r.err != nil {
+	if r.Err() != nil {
 		return
 	}
 	f.Class = f.Class[:0]
@@ -339,47 +258,39 @@ func (r *reader) fabric(f *device.FabricState) {
 	}
 	f.Size = f.Size[:0]
 	for c := 0; c < k; c++ {
-		f.Size = append(f.Size, int32(r.u32()))
+		f.Size = append(f.Size, int32(r.U32()))
 	}
 	f.States = f.States[:0]
 	for c := 0; c < k; c++ {
 		var words [td.StateWords]uint64
 		for i := range words {
-			words[i] = r.u64()
+			words[i] = r.U64()
 		}
 		var st td.State
-		if err := st.SetWords(words); err != nil && r.err == nil {
-			r.fail("class %d: %v", c, err)
+		if err := st.SetWords(words); err != nil && r.Err() == nil {
+			r.Fail("class %d: %v", c, err)
 		}
 		f.States = append(f.States, st)
 	}
-	if r.err == nil {
+	if r.Err() == nil {
 		if err := f.Check(n); err != nil {
-			r.fail("%v", err)
+			r.Fail("%v", err)
 		}
 	}
 }
 
 func (r *reader) engine(e *stress.EngineState) {
-	e.Elapsed = units.Seconds(r.f64())
-	n := r.count("activity modes", 1)
+	e.Elapsed = units.Seconds(r.F64())
+	n := r.Count("activity modes", 1)
 	e.Modes = e.Modes[:0]
 	for i := 0; i < n; i++ {
-		ac, frozen := r.flags()
+		ac, frozen := r.Flags()
 		e.Modes = append(e.Modes, stress.Mode{AC: ac, FrozenIn0: frozen})
 	}
 }
 
 func (r *reader) ro() ro.State {
-	src := r.u64()
-	enabled, frozen := r.flags()
+	src := r.U64()
+	enabled, frozen := r.Flags()
 	return ro.State{Src: src, Enabled: enabled, Frozen: frozen}
-}
-
-// done reports the first error, or trailing bytes.
-func (r *reader) done() error {
-	if r.err == nil && len(r.b) > 0 {
-		r.fail("%d trailing bytes", len(r.b))
-	}
-	return r.err
 }
